@@ -32,16 +32,6 @@ class ChannelConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class InterferingSet:
-    """A concrete subset of concurrent transmitters on a link and slot."""
-
-    sender: int
-    receiver: int
-    slot: int
-    members: tuple[int, ...]
-
-
 def ber_bpsk_awgn(gamma):
     """Bit error rate for uncoded BPSK on AWGN: 0.5 * erfc(sqrt(gamma))."""
     g = np.asarray(gamma, dtype=float)
@@ -229,7 +219,7 @@ class ChannelMatrix:
             raise SchemaError(
                 f"channel matrix must have shape ({n_nodes}, {n_nodes}, {slot_count})"
             )
-        if np.min(probs) < 0.0 or np.max(probs) > 1.0:
+        if not np.all((probs >= 0.0) & (probs <= 1.0)):
             raise SchemaError("channel probabilities must lie in [0, 1]")
         self.n_nodes = n_nodes
         self.slot_count = slot_count
@@ -267,7 +257,10 @@ class ChannelMatrix:
                 raise SchemaError(f"channel document is not valid JSON: {exc}") from exc
         probs = np.zeros((n_nodes, n_nodes, slot_count))
         for entry in document.get("links", []):
-            probs[entry["i"] - 1, entry["j"] - 1, entry["u"] - 1] = entry["p"]
+            try:
+                probs[entry["i"] - 1, entry["j"] - 1, entry["u"] - 1] = entry["p"]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(f"malformed channel link {entry!r}") from exc
         return cls(n_nodes, slot_count, probs)
 
 

@@ -142,13 +142,17 @@ def cmd_oracle(args) -> int:
     spec, tau, X = _load_common(args)
     channel = channel_matrix(tau, spec)
     _maybe_dump_channels(args, channel)
-    config = SimConfig(
-        n_packets=args.packets,
-        seed=args.seed,
-        max_epochs=args.max_epochs,
-        confidence=args.confidence,
-        threads=_resolve_threads(args.threads),
-    )
+    threads = _resolve_threads(args.threads)
+    try:
+        config = SimConfig(
+            n_packets=args.packets,
+            seed=args.seed,
+            max_epochs=args.max_epochs,
+            confidence=args.confidence,
+            threads=threads,
+        )
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
     estimate = simulate(
         tau, X, spec, config, channel=channel, tolerance=args.tolerance
     )
@@ -207,7 +211,6 @@ def cmd_search(args) -> int:
         thresholds=thresholds,
         source_rates=source_rates,
         tolerance=args.tolerance,
-        threads=_resolve_threads(args.threads),
     )
 
     out_dir = Path(args.output_dir)
@@ -267,7 +270,8 @@ def _build_parser() -> _Parser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: PARETO_RELAY_THREADS or machine count)",
+        help="oracle worker threads (default: PARETO_RELAY_THREADS or machine "
+        "count); search and evaluate run on one thread",
     )
     common.add_argument(
         "--tolerance",

@@ -27,7 +27,7 @@ from .errors import (
     ModelViolationError,
     SchemaError,
 )
-from .rates import DEFAULT_TOLERANCE, RateMatrix, active_set
+from .rates import DEFAULT_TOLERANCE, RateMatrix, active_set, relay_transmission_index
 from .topology import NetworkSpec
 
 MAX_REJECTION_ATTEMPTS = 200
@@ -42,7 +42,7 @@ class ForwardingMatrix:
         if values.ndim != 4 or values.shape[0] != values.shape[1] \
                 or values.shape[2] != values.shape[3]:
             raise SchemaError("forwarding matrix must have shape (n, n, T, T)")
-        if np.min(values) < 0.0 or np.max(values) > 1.0:
+        if not np.all((values >= 0.0) & (values <= 1.0)):
             raise SchemaError("forwarding probabilities must lie in [0, 1]")
         self.values = values
         self.values.setflags(write=False)
@@ -178,11 +178,8 @@ def consistency_residuals(
     transmission. X is feasible for tau iff all residuals vanish within
     the tolerance."""
     act = active_set(tau)
-    relay_set = set(tau.relay_ids)
     residuals: dict[tuple[int, int], float] = {}
-    for j, v in sorted(act.transmissions):
-        if j not in relay_set:
-            continue
+    for j, v in relay_transmission_index(tau):
         t_out = tau.rate(j, v)
         inflow = 0.0
         for i, u in act.transmissions:
@@ -207,12 +204,8 @@ def solve_chain_closed_form(
     Raises when a constraint has several feeders (no closed form), none at
     all, or demands x outside [0, 1].
     """
-    act = active_set(tau)
-    relay_set = set(tau.relay_ids)
     values = np.zeros((spec.n_nodes, spec.n_nodes, spec.slot_count, spec.slot_count))
-    for j, v in sorted(act.transmissions):
-        if j not in relay_set:
-            continue
+    for j, v in relay_transmission_index(tau):
         t_out = tau.rate(j, v)
         terms = feeder_terms(tau, P, j, v)
         if not terms:
@@ -255,12 +248,8 @@ def sample_feasible_forwarding(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    act = active_set(tau)
-    relay_set = set(tau.relay_ids)
     constraints = []
-    for j, v in sorted(act.transmissions):
-        if j not in relay_set:
-            continue
+    for j, v in relay_transmission_index(tau):
         t_out = tau.rate(j, v)
         terms = feeder_terms(tau, P, j, v)
         total = sum(c for _, _, c in terms)

@@ -22,19 +22,15 @@ from statistics import NormalDist
 import numpy as np
 
 from .channel import ChannelConfig, ChannelMatrix, channel_matrix
-from .errors import FlowConservationError, HalfDuplexError
 from .forwarding import ForwardingMatrix, check_forwarder_roles, consistency_residuals
 from .rates import (
     DEFAULT_TOLERANCE,
     RateMatrix,
     check_flow_conservation,
     check_half_duplex,
-)
-from .steady_state import (
-    build_arrival_matrix,
-    build_relaying_matrix,
     relay_transmission_index,
 )
+from .steady_state import build_arrival_matrix, build_relaying_matrix
 from .topology import NetworkSpec
 
 DEFAULT_BLOCK_SIZE = 65_536
@@ -231,22 +227,13 @@ def simulate(
     if channel is None:
         channel = channel_matrix(tau, spec, channel_config)
     check_forwarder_roles(X, tau)
-    flow_report = check_flow_conservation(tau, channel, tolerance)
-    if not flow_report.all_ok:
-        raise FlowConservationError(
-            f"flow conservation fails: relays {flow_report.failures()} "
-            f"transmit more than they receive"
-        )
-    duplex_report = check_half_duplex(tau, channel, tolerance)
-    if not duplex_report.all_ok:
-        raise HalfDuplexError(
-            f"half-duplex constraint fails at {duplex_report.failures()}"
-        )
+    check_flow_conservation(tau, channel, tolerance).raise_if_failed()
+    check_half_duplex(tau, channel, tolerance).raise_if_failed()
     consistency_residuals(X, tau, channel, tolerance).raise_if_inconsistent()
 
     relay_index = relay_transmission_index(tau)
     Q = build_relaying_matrix(X, tau, channel)
-    D = build_arrival_matrix(tau, channel, None, spec)
+    D = build_arrival_matrix(tau, channel, spec)
     injections = _injections(tau, X, channel, spec, relay_index)
 
     n = config.n_packets

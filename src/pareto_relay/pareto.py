@@ -10,14 +10,17 @@ non-dominated archive.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from .channel import ChannelConfig, ChannelMatrix, channel_matrix
-from .errors import ClosedFormNotApplicableError, InfeasibleError, SchemaError
+from .errors import (
+    ClosedFormNotApplicableError,
+    InfeasibleError,
+    ParetoRelayError,
+    SchemaError,
+)
 from .forwarding import (
     ForwardingMatrix,
     sample_feasible_forwarding,
@@ -30,8 +33,9 @@ from .rates import (
     check_flow_conservation,
     check_half_duplex,
     enumerate_rate_matrices,
+    relay_transmission_index,
 )
-from .steady_state import CriteriaVector, evaluate, relay_transmission_index
+from .steady_state import CriteriaVector, evaluate
 from .topology import NetworkSpec
 
 
@@ -136,16 +140,18 @@ class ParetoArchive:
             if not dominates(solution.criteria, m.criteria, self.senses)
         ]
         self._members.append(solution)
-        assert self._pairwise_non_dominated()
         return True
 
-    def _pairwise_non_dominated(self) -> bool:
-        return not any(
-            dominates(a.criteria, b.criteria, self.senses)
-            for a in self._members
-            for b in self._members
-            if a is not b
-        )
+    def check_non_dominated(self) -> None:
+        """Raise unless no member dominates another: the invariant that
+        ``insert`` keeps. O(n^2), so callers run it once, not per insert."""
+        for a in self._members:
+            for b in self._members:
+                if a is not b and dominates(a.criteria, b.criteria, self.senses):
+                    raise ParetoRelayError(
+                        f"archive member {a.solution_id} dominates "
+                        f"{b.solution_id}; the front is not non-dominated"
+                    )
 
     @property
     def members(self) -> tuple[ParetoSolution, ...]:
@@ -323,7 +329,6 @@ def exhaustive_search(
     source_rates: np.ndarray | None = None,
     channel_config: ChannelConfig | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
-    threads: int = 1,
     collect_evaluated: bool = False,
 ) -> SearchResult:
     """Stream every rate matrix on the grid through feasibility, pruning,
@@ -331,46 +336,26 @@ def exhaustive_search(
 
     Deterministic for a fixed seed: candidate tau_idx fixes the forwarding
     sampler's seed, evaluation is pure, and archive insertion happens in
-    enumeration order, so the result does not depend on ``threads``.
+    enumeration order.
     """
     result = SearchResult(archive=ParetoArchive(senses))
-    stream = enumerate(
-        enumerate_rate_matrices(grid, spec, n_max, source_rates=source_rates)
-    )
-
-    def work(item):
-        tau_idx, tau = item
-        return tau_idx, _candidates_for_tau(
+    taus = enumerate_rate_matrices(grid, spec, n_max, source_rates=source_rates)
+    for tau_idx, tau in enumerate(taus):
+        status, solutions = _candidates_for_tau(
             tau_idx, tau, spec, x_samples_per_tau, seed,
             thresholds, channel_config, tolerance,
         )
-
-    chunk_size = max(32, threads * 8)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while True:
-            chunk = list(islice(stream, chunk_size))
-            if not chunk:
-                break
-            if pool is not None:
-                outputs = list(pool.map(work, chunk))
-            else:
-                outputs = [work(item) for item in chunk]
-            outputs.sort(key=lambda pair: pair[0])
-            for _, (status, solutions) in outputs:
-                result.n_tau += 1
-                if status == "infeasible":
-                    result.n_infeasible += 1
-                    continue
-                if status == "pruned":
-                    result.n_pruned += 1
-                    continue
-                for sol in solutions:
-                    result.n_evaluated += 1
-                    result.archive.insert(sol)
-                    if collect_evaluated:
-                        result.evaluated.append(sol)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        result.n_tau += 1
+        if status == "infeasible":
+            result.n_infeasible += 1
+            continue
+        if status == "pruned":
+            result.n_pruned += 1
+            continue
+        for sol in solutions:
+            result.n_evaluated += 1
+            result.archive.insert(sol)
+            if collect_evaluated:
+                result.evaluated.append(sol)
+    result.archive.check_non_dominated()
     return result

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import GridError, SchemaError
+from .errors import FlowConservationError, GridError, HalfDuplexError, SchemaError
 from .topology import NetworkSpec
 
 DEFAULT_TOLERANCE = 1e-9
@@ -73,7 +73,7 @@ class RateMatrix:
                 f" got {source_rates.shape}"
             )
         for name, arr in (("relay", relay_rates), ("source", source_rates)):
-            if arr.size and (np.min(arr) < 0.0 or np.max(arr) > 1.0):
+            if not np.all((arr >= 0.0) & (arr <= 1.0)):
                 raise SchemaError(f"{name} rates must lie in [0, 1]")
         self.relay_ids = tuple(relay_ids)
         self.source_ids = tuple(source_ids)
@@ -84,6 +84,11 @@ class RateMatrix:
         self.source_rates.setflags(write=False)
         self._row_of = {i: ("relay", k) for k, i in enumerate(self.relay_ids)}
         self._row_of.update({i: ("source", k) for k, i in enumerate(self.source_ids)})
+        self._active = _build_active_set(self)
+        relays = set(self.relay_ids)
+        self._relay_index = tuple(
+            pair for pair in sorted(self._active.transmissions) if pair[0] in relays
+        )
 
     @classmethod
     def for_network(cls, spec: NetworkSpec, relay_rates, source_rates) -> "RateMatrix":
@@ -170,6 +175,17 @@ class ActiveSet:
 
 
 def active_set(tau: RateMatrix) -> ActiveSet:
+    """The active set of ``tau``, computed once when the matrix is built."""
+    return tau._active
+
+
+def relay_transmission_index(tau: RateMatrix) -> tuple[tuple[int, int], ...]:
+    """Active relay transmissions (node, slot), sorted: the rows and columns
+    of Q and the order of the forwarding constraints."""
+    return tau._relay_index
+
+
+def _build_active_set(tau: RateMatrix) -> ActiveSet:
     pairs = set()
     for i in tau.transmitter_ids:
         row = tau.row(i)
@@ -217,6 +233,13 @@ class FlowConservationReport:
     def failures(self) -> list[int]:
         return sorted(i for i, (_, _, ok) in self.entries.items() if not ok)
 
+    def raise_if_failed(self) -> None:
+        if not self.all_ok:
+            raise FlowConservationError(
+                f"flow conservation fails: relays {self.failures()} "
+                f"transmit more than they receive"
+            )
+
 
 def check_flow_conservation(
     tau: RateMatrix, channel, tol: float = DEFAULT_TOLERANCE
@@ -243,6 +266,12 @@ class HalfDuplexReport:
 
     def failures(self) -> list[tuple[int, int]]:
         return sorted(k for k, (_, ok) in self.entries.items() if not ok)
+
+    def raise_if_failed(self) -> None:
+        if not self.all_ok:
+            raise HalfDuplexError(
+                f"half-duplex constraint fails at (node, slot) {self.failures()}"
+            )
 
 
 def check_half_duplex(

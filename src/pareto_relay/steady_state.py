@@ -25,8 +25,6 @@ from scipy.linalg import lu_factor, lu_solve
 from .channel import ChannelConfig, ChannelMatrix, channel_matrix
 from .errors import (
     DivergentSystemError,
-    FlowConservationError,
-    HalfDuplexError,
     ModelViolationError,
     NumericalError,
     SchemaError,
@@ -34,11 +32,10 @@ from .errors import (
 from .forwarding import ForwardingMatrix, check_forwarder_roles, consistency_residuals
 from .rates import (
     DEFAULT_TOLERANCE,
-    ActiveSet,
     RateMatrix,
-    active_set,
     check_flow_conservation,
     check_half_duplex,
+    relay_transmission_index,
 )
 from .topology import NetworkSpec
 
@@ -64,14 +61,6 @@ class CriteriaVector:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.f, self.f_c, self.f_d, self.f_e)
-
-
-def relay_transmission_index(tau: RateMatrix) -> tuple[tuple[int, int], ...]:
-    """Active relay transmissions (node, slot), sorted; rows/columns of Q."""
-    relays = set(tau.relay_ids)
-    return tuple(
-        (j, v) for j, v in sorted(active_set(tau).transmissions) if j in relays
-    )
 
 
 def destination_slot_index(spec: NetworkSpec) -> tuple[tuple[int, int], ...]:
@@ -107,12 +96,9 @@ def build_relaying_matrix(
     X: ForwardingMatrix,
     tau: RateMatrix,
     P: ChannelMatrix,
-    active: ActiveSet | None = None,
 ) -> np.ndarray:
     """Q[(i,u),(j,v)] = p_ij^u * (1 - tau_j^v) * x_ij^{uv} over the active
     relay transmissions; zero on same-node pairs. Entries must stay < 1."""
-    if active is None:
-        active = active_set(tau)
     index = relay_transmission_index(tau)
     l = len(index)
     Q = np.zeros((l, l))
@@ -133,7 +119,6 @@ def build_relaying_matrix(
 def build_arrival_matrix(
     tau: RateMatrix,
     P: ChannelMatrix,
-    active: ActiveSet | None,
     spec: NetworkSpec,
 ) -> np.ndarray:
     """D[(i,u),(d,w)] = p_id^u when w = u, else 0: a transmission reaches a
@@ -281,12 +266,11 @@ def build_transition_system(
     P: ChannelMatrix,
     spec: NetworkSpec,
 ) -> TransitionSystem:
-    act = active_set(tau)
     return TransitionSystem(
         relay_index=relay_transmission_index(tau),
         arrival_index=destination_slot_index(spec),
-        Q=build_relaying_matrix(X, tau, P, act),
-        D=build_arrival_matrix(tau, P, act, spec),
+        Q=build_relaying_matrix(X, tau, P),
+        D=build_arrival_matrix(tau, P, spec),
         F1=build_initial_flow(tau.source_rates, X, tau, P, spec),
     )
 
@@ -347,18 +331,8 @@ def evaluate(
 
     if check_feasibility:
         check_forwarder_roles(X, tau)
-        flow_report = check_flow_conservation(tau, channel, tolerance)
-        if not flow_report.all_ok:
-            raise FlowConservationError(
-                f"flow conservation fails: relays {flow_report.failures()} "
-                f"transmit more than they receive"
-            )
-        duplex_report = check_half_duplex(tau, channel, tolerance)
-        if not duplex_report.all_ok:
-            raise HalfDuplexError(
-                f"half-duplex constraint fails at (node, slot) "
-                f"{duplex_report.failures()}"
-            )
+        check_flow_conservation(tau, channel, tolerance).raise_if_failed()
+        check_half_duplex(tau, channel, tolerance).raise_if_failed()
         consistency_residuals(X, tau, channel, tolerance).raise_if_inconsistent()
 
     ts = build_transition_system(tau, X, channel, spec)

@@ -264,6 +264,8 @@ def test_usage_errors_exit_1(workspace, capsys):
     assert main(["no-such-command"]) == 1
     assert main(eval_args(workspace, "--bogus-flag")) == 1
     capsys.readouterr()
+    assert main(oracle_args(workspace, "--packets", "0")) == 1
+    assert capsys.readouterr().err == "error: n_packets must be >= 1\n"
 
 
 def test_version_flag(capsys):
@@ -292,3 +294,6 @@ def test_malformed_json_input_exits_1(workspace, capsys):
     args[args.index("--tau") + 1] = str(broken)
     assert main(args) == 1
     assert "error" in capsys.readouterr().err
+    broken.write_text('{"tau": [[NaN, 0.4]], "sources": [[1.0, 0.0]]}')
+    assert main(args) == 1
+    assert "rates must lie in [0, 1]" in capsys.readouterr().err

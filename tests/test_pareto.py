@@ -21,7 +21,7 @@ from pareto_relay import (
     prune_tau,
     solve_chain_closed_form,
 )
-from pareto_relay.errors import SchemaError
+from pareto_relay.errors import ParetoRelayError, SchemaError
 from pareto_relay.pareto import tau_energy_rate, tau_flow_rate
 
 from conftest import injected_channel, line_spec, make_spec, rate_matrix
@@ -126,6 +126,17 @@ def test_archive_keeps_equal_vectors(three_node):
     assert archive.criteria_values() == {(0.5, 0.5, 0.5)}
 
 
+def test_archive_check_non_dominated(three_node):
+    archive = ParetoArchive()
+    archive.insert(solution("a", crit(0.5, 0.5, 0.5), three_node))
+    archive.insert(solution("b", crit(0.4, 0.1, 0.5), three_node))
+    archive.check_non_dominated()
+    # bypass insert to plant a member that "a" dominates
+    archive._members.append(solution("c", crit(0.4, 0.6, 0.6), three_node))
+    with pytest.raises(ParetoRelayError, match="a dominates c"):
+        archive.check_non_dominated()
+
+
 def test_archive_iterates_sorted_by_id(three_node):
     archive = ParetoArchive()
     archive.insert(solution("000002-0000", crit(0.5, 0.4, 0.5), three_node))
@@ -215,20 +226,20 @@ def test_search_front_equals_brute_force_filter(three_node):
     assert {s.solution_id for s in result.archive} == non_dominated
 
 
-def test_search_thread_count_does_not_change_result(three_node):
+def test_search_rerun_is_deterministic(three_node):
     grid = RateGrid.parse("0,0.25,0.5")
     kwargs = dict(n_max=1, x_samples_per_tau=3, seed=1)
-    serial = exhaustive_search(three_node, grid, threads=1, **kwargs)
-    parallel = exhaustive_search(three_node, grid, threads=4, **kwargs)
-    assert [s.solution_id for s in serial.archive] == [
-        s.solution_id for s in parallel.archive
+    first = exhaustive_search(three_node, grid, **kwargs)
+    second = exhaustive_search(three_node, grid, **kwargs)
+    assert [s.solution_id for s in first.archive] == [
+        s.solution_id for s in second.archive
     ]
-    assert serial.archive.criteria_values() == parallel.archive.criteria_values()
-    assert (serial.n_tau, serial.n_infeasible, serial.n_pruned, serial.n_evaluated) == (
-        parallel.n_tau,
-        parallel.n_infeasible,
-        parallel.n_pruned,
-        parallel.n_evaluated,
+    assert first.archive.criteria_values() == second.archive.criteria_values()
+    assert (first.n_tau, first.n_infeasible, first.n_pruned, first.n_evaluated) == (
+        second.n_tau,
+        second.n_infeasible,
+        second.n_pruned,
+        second.n_evaluated,
     )
 
 

@@ -119,7 +119,7 @@ def test_relaying_matrix_entries_strictly_below_one():
 
 def test_arrival_matrix_slot_aligned():
     spec, tau, P, _ = two_relay_chain_setup()
-    D = build_arrival_matrix(tau, P, None, spec)
+    D = build_arrival_matrix(tau, P, spec)
     # rows ((2,2),(3,3)); columns ((4,1),(4,2),(4,3))
     assert D.shape == (2, 3)
     assert D[0, 1] == pytest.approx(0.3)  # relay 2 reaches 4 in its slot 2
@@ -130,7 +130,7 @@ def test_arrival_matrix_slot_aligned():
 def test_arrival_matrix_empty_when_no_relays_active(three_node):
     tau = rate_matrix(three_node, [[0.0, 0.0]], [[1.0, 0.0]])
     P = injected_channel(3, 2, {(1, 3, 1): 0.5})
-    D = build_arrival_matrix(tau, P, None, three_node)
+    D = build_arrival_matrix(tau, P, three_node)
     assert D.shape == (0, 2)
 
 
