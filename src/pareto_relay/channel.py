@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 from scipy.special import erfc
@@ -41,17 +41,17 @@ def ber_bpsk_awgn(gamma):
     return float(out) if np.isscalar(gamma) else out
 
 
-def per(gamma, packet_bits: int, ber: Callable = ber_bpsk_awgn):
+def per(gamma, packet_bits: int):
     """Packet error rate 1 - (1 - BER)^N_b for an N_b-bit packet."""
     if packet_bits < 1:
         raise ValueError("packet_bits must be >= 1")
-    out = 1.0 - np.power(1.0 - ber(gamma), packet_bits)
+    out = 1.0 - np.power(1.0 - ber_bpsk_awgn(gamma), packet_bits)
     return float(out) if np.isscalar(gamma) else out
 
 
-def packet_success(gamma, packet_bits: int, ber: Callable = ber_bpsk_awgn):
+def packet_success(gamma, packet_bits: int):
     """(1 - BER)^N_b, the complement of :func:`per`."""
-    out = np.power(1.0 - ber(gamma), packet_bits)
+    out = np.power(1.0 - ber_bpsk_awgn(gamma), packet_bits)
     return float(out) if np.isscalar(gamma) else out
 
 
@@ -110,12 +110,7 @@ def interfering_set_probability(
 
 
 def _subset_average(
-    signal: float,
-    noise: float,
-    gains: np.ndarray,
-    taus: np.ndarray,
-    packet_bits: int,
-    ber: Callable,
+    signal: float, noise: float, gains: np.ndarray, taus: np.ndarray, packet_bits: int
 ) -> float:
     # Enumerates all 2^m interferer subsets by iterative doubling; the
     # subset probabilities telescope to exactly 1.
@@ -125,7 +120,21 @@ def _subset_average(
         interf = np.concatenate([interf, interf + g])
         prob = np.concatenate([prob * (1.0 - t), prob * t])
     gamma = signal / (noise + interf)
-    return float(np.dot(prob, packet_success(gamma, packet_bits, ber)))
+    return float(np.dot(prob, packet_success(gamma, packet_bits)))
+
+
+def _link_inputs(
+    spec: NetworkSpec, tau: RateMatrix, sender: int, receiver: int, slot: int
+) -> tuple[float, np.ndarray, np.ndarray]:
+    # Signal power, and each candidate interferer's power and rate at the
+    # receiver.
+    candidates = interference_candidates(tau, sender, receiver, slot)
+    gains = gain_matrix(spec)
+    p_t = spec.radio.tx_power
+    signal = p_t * gains[sender - 1, receiver - 1]
+    int_gains = np.array([p_t * gains[k - 1, receiver - 1] for k in candidates])
+    int_taus = np.array([tau.rate(k, slot) for k in candidates])
+    return signal, int_gains, int_taus
 
 
 def channel_probability_exact(
@@ -135,26 +144,20 @@ def channel_probability_exact(
     receiver: int,
     slot: int,
     cap: int = DEFAULT_EXACT_CAP,
-    ber: Callable = ber_bpsk_awgn,
 ) -> float:
     """p_ij^u by exact enumeration of every interfering set.
 
     Raises :class:`EnumerationCapError` when the candidate pool exceeds
     ``cap``; use :func:`channel_probability_sampled` then.
     """
-    candidates = interference_candidates(tau, sender, receiver, slot)
-    if len(candidates) > cap:
+    signal, int_gains, int_taus = _link_inputs(spec, tau, sender, receiver, slot)
+    if len(int_taus) > cap:
         raise EnumerationCapError(
-            f"{len(candidates)} candidate interferers on link ({sender},{receiver})"
+            f"{len(int_taus)} candidate interferers on link ({sender},{receiver})"
             f" slot {slot} exceed the exact-enumeration cap {cap}"
         )
-    gains = gain_matrix(spec)
-    p_t = spec.radio.tx_power
-    signal = p_t * gains[sender - 1, receiver - 1]
-    int_gains = np.array([p_t * gains[k - 1, receiver - 1] for k in candidates])
-    int_taus = np.array([tau.rate(k, slot) for k in candidates])
     return _subset_average(
-        signal, spec.radio.noise_power, int_gains, int_taus, spec.radio.packet_bits, ber
+        signal, spec.radio.noise_power, int_gains, int_taus, spec.radio.packet_bits
     )
 
 
@@ -166,7 +169,6 @@ def channel_probability_sampled(
     slot: int,
     samples: int,
     seed: int,
-    ber: Callable = ber_bpsk_awgn,
 ) -> tuple[float, float]:
     """Unbiased Monte Carlo estimate of p_ij^u with its standard error.
 
@@ -176,12 +178,7 @@ def channel_probability_sampled(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    candidates = interference_candidates(tau, sender, receiver, slot)
-    gains = gain_matrix(spec)
-    p_t = spec.radio.tx_power
-    signal = p_t * gains[sender - 1, receiver - 1]
-    int_gains = np.array([p_t * gains[k - 1, receiver - 1] for k in candidates])
-    int_taus = np.array([tau.rate(k, slot) for k in candidates])
+    signal, int_gains, int_taus = _link_inputs(spec, tau, sender, receiver, slot)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
     total = 0.0
@@ -190,13 +187,13 @@ def channel_probability_sampled(
     chunk = 131_072
     while remaining > 0:
         n = min(chunk, remaining)
-        if len(candidates):
-            masks = rng.random((n, len(candidates))) < int_taus
+        if len(int_taus):
+            masks = rng.random((n, len(int_taus))) < int_taus
             interf = masks @ int_gains
         else:
             interf = np.zeros(n)
         succ = packet_success(signal / (spec.radio.noise_power + interf),
-                              spec.radio.packet_bits, ber)
+                              spec.radio.packet_bits)
         succ = np.atleast_1d(succ)
         total += float(succ.sum())
         total_sq += float(np.dot(succ, succ))
@@ -255,11 +252,17 @@ class ChannelMatrix:
                 document = json.loads(document)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"channel document is not valid JSON: {exc}") from exc
+        if not isinstance(document, dict):
+            raise SchemaError("channel document must be an object with 'links'")
         probs = np.zeros((n_nodes, n_nodes, slot_count))
         for entry in document.get("links", []):
             try:
-                probs[entry["i"] - 1, entry["j"] - 1, entry["u"] - 1] = entry["p"]
-            except (KeyError, TypeError, ValueError) as exc:
+                i, j, u = entry["i"], entry["j"], entry["u"]
+                in_range = 1 <= i <= n_nodes and 1 <= j <= n_nodes and 1 <= u <= slot_count
+                if not in_range or i == j:
+                    raise SchemaError(f"channel link references no link: {entry!r}")
+                probs[i - 1, j - 1, u - 1] = entry["p"]
+            except (KeyError, TypeError, ValueError, IndexError) as exc:
                 raise SchemaError(f"malformed channel link {entry!r}") from exc
         return cls(n_nodes, slot_count, probs)
 
@@ -268,7 +271,6 @@ def channel_matrix(
     tau: RateMatrix,
     spec: NetworkSpec,
     config: ChannelConfig | None = None,
-    ber: Callable = ber_bpsk_awgn,
 ) -> ChannelMatrix:
     """Assemble p_ij^u for every ordered node pair and slot.
 
@@ -286,11 +288,11 @@ def channel_matrix(
                 continue
             for u in range(1, slots + 1):
                 try:
-                    p = channel_probability_exact(spec, tau, i, j, u, config.exact_cap, ber)
+                    p = channel_probability_exact(spec, tau, i, j, u, config.exact_cap)
                 except EnumerationCapError:
                     p, _ = channel_probability_sampled(
                         spec, tau, i, j, u, config.samples,
-                        seed=_link_seed(config.seed, i, j, u), ber=ber,
+                        seed=_link_seed(config.seed, i, j, u),
                     )
                 probs[i - 1, j - 1, u - 1] = p
     return ChannelMatrix(n, slots, probs)

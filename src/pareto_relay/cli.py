@@ -177,7 +177,10 @@ def _load_source_rates(path: str | None, spec):
     document = json.loads(Path(path).read_text())
     if not isinstance(document, dict) or "sources" not in document:
         raise SchemaError("source-rate document must be an object with 'sources'")
-    rates = np.asarray(document["sources"], dtype=float)
+    try:
+        rates = np.asarray(document["sources"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"source rates must be numbers: {exc}") from exc
     if rates.shape != (len(spec.source_ids), spec.slot_count):
         raise SchemaError(
             f"source rates must have shape "

@@ -8,7 +8,9 @@ much flow: summed over senders i and in-slots u,
 The x entries are free parameters in [0, 1] otherwise, so the feasible set
 per active relay transmission is a simplex slice. This module checks the
 constraints, solves them in closed form when each has a single feeder term,
-and samples the general polytope uniformly.
+and samples the general polytope by rejection: a constraint whose draws are
+all rejected (200 of them) falls back to its proportional point, so the
+samples are not uniform on such a constraint.
 """
 
 from __future__ import annotations
@@ -240,10 +242,12 @@ def sample_feasible_forwarding(
 
     Each constraint fixes a weighted sum of its x entries, so the feasible
     region is the product over constraints of simplex slices bounded by
-    x <= 1. Per constraint the slice is sampled uniformly by scaling a flat
-    Dirichlet draw and rejecting points with an entry above 1; after
-    repeated rejections the proportional point x_i = t / sum(coeffs) is
-    used, which always lies inside. Deterministic per seed; sample k
+    x <= 1. Per constraint the slice is sampled by scaling a flat Dirichlet
+    draw and rejecting points with an entry above 1. After
+    ``MAX_REJECTION_ATTEMPTS`` (200) rejected draws the proportional point
+    x_i = t / sum(coeffs) is used, which always lies inside; the draw is
+    then not uniform on that constraint, and every sample repeats that
+    point there. Deterministic per seed; sample k
     depends only on (seed, k), so draws may be distributed across workers.
     """
     if count < 1:

@@ -21,7 +21,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .channel import ChannelConfig, ChannelMatrix, channel_matrix
+from .channel import ChannelMatrix, channel_matrix
 from .forwarding import ForwardingMatrix, check_forwarder_roles, consistency_residuals
 from .rates import (
     DEFAULT_TOLERANCE,
@@ -215,7 +215,6 @@ def simulate(
     spec: NetworkSpec,
     config: SimConfig,
     channel: ChannelMatrix | None = None,
-    channel_config: ChannelConfig | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> SimEstimate:
     """Estimate f, f_D and f_E from ``config.n_packets`` independent trials.
@@ -225,7 +224,7 @@ def simulate(
     seed and independent of ``config.threads``.
     """
     if channel is None:
-        channel = channel_matrix(tau, spec, channel_config)
+        channel = channel_matrix(tau, spec)
     check_forwarder_roles(X, tau)
     check_flow_conservation(tau, channel, tolerance).raise_if_failed()
     check_half_duplex(tau, channel, tolerance).raise_if_failed()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelConfig, ChannelMatrix, channel_matrix
+from .channel import ChannelMatrix, channel_matrix
 from .errors import (
     ClosedFormNotApplicableError,
     InfeasibleError,
@@ -270,11 +270,10 @@ def _candidates_for_tau(
     x_samples: int,
     seed: int,
     thresholds: PruneThresholds | None,
-    channel_config: ChannelConfig | None,
     tolerance: float,
 ) -> tuple[str, list[ParetoSolution]]:
     """Evaluate one rate matrix: returns a status tag and its solutions."""
-    P = channel_matrix(tau, spec, channel_config)
+    P = channel_matrix(tau, spec)
     if not check_flow_conservation(tau, P, tolerance).all_ok:
         return "infeasible", []
     if not check_half_duplex(tau, P, tolerance).all_ok:
@@ -327,7 +326,6 @@ def exhaustive_search(
     senses: ObjectiveSense | None = None,
     thresholds: PruneThresholds | None = None,
     source_rates: np.ndarray | None = None,
-    channel_config: ChannelConfig | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
     collect_evaluated: bool = False,
 ) -> SearchResult:
@@ -342,8 +340,7 @@ def exhaustive_search(
     taus = enumerate_rate_matrices(grid, spec, n_max, source_rates=source_rates)
     for tau_idx, tau in enumerate(taus):
         status, solutions = _candidates_for_tau(
-            tau_idx, tau, spec, x_samples_per_tau, seed,
-            thresholds, channel_config, tolerance,
+            tau_idx, tau, spec, x_samples_per_tau, seed, thresholds, tolerance
         )
         result.n_tau += 1
         if status == "infeasible":

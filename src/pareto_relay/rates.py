@@ -60,8 +60,11 @@ class RateMatrix:
     """
 
     def __init__(self, relay_ids, source_ids, slot_count, relay_rates, source_rates):
-        relay_rates = np.asarray(relay_rates, dtype=float)
-        source_rates = np.asarray(source_rates, dtype=float)
+        try:
+            relay_rates = np.asarray(relay_rates, dtype=float)
+            source_rates = np.asarray(source_rates, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"rates must be numbers: {exc}") from exc
         if relay_rates.shape != (len(relay_ids), slot_count):
             raise SchemaError(
                 f"relay rates must have shape ({len(relay_ids)}, {slot_count}),"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .channel import ChannelConfig, ChannelMatrix, channel_matrix
+from .channel import ChannelMatrix, channel_matrix
 from .errors import (
     DivergentSystemError,
     ModelViolationError,
@@ -169,33 +169,17 @@ def build_initial_flow(
     return F1
 
 
-def spectral_radius(Q: np.ndarray, tol: float = 1e-12, max_iter: int = 5000) -> float:
-    """Largest eigenvalue magnitude of a non-negative matrix, by power
-    iteration on the shifted matrix (Q + I)/2 so alternating structures
-    still converge (the shift maps the leading eigenvalue monotonically)."""
+def spectral_radius(Q: np.ndarray) -> float:
+    """Largest eigenvalue magnitude of a non-negative matrix."""
     Q = np.asarray(Q, dtype=float)
-    n = Q.shape[0]
-    if n == 0:
+    if Q.shape[0] == 0:
         return 0.0
     if np.min(Q) < 0.0:
         raise ValueError("spectral_radius expects a non-negative matrix")
-    x = np.full(n, 1.0 / n)
-    est = 0.0
-    for _ in range(max_iter):
-        y = 0.5 * (Q @ x + x)
-        norm = float(np.linalg.norm(y, 1))
-        if norm == 0.0:
-            return 0.0
-        new_est = norm / float(np.linalg.norm(x, 1))
-        x = y / norm
-        if abs(new_est - est) <= tol * max(1.0, new_est):
-            est = new_est
-            break
-        est = new_est
-    return max(0.0, 2.0 * est - 1.0)
+    return float(np.max(np.abs(np.linalg.eigvals(Q))))
 
 
-def fundamental_matrix(Q: np.ndarray, margin: float = SPECTRAL_MARGIN) -> np.ndarray:
+def fundamental_matrix(Q: np.ndarray) -> np.ndarray:
     """M_F = (I - Q)^{-1} via LU factorization with an explicit convergence
     guard: the series behind M_F only makes sense when rho(Q) < 1.
 
@@ -206,10 +190,10 @@ def fundamental_matrix(Q: np.ndarray, margin: float = SPECTRAL_MARGIN) -> np.nda
     n = Q.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    rho_bound = float(np.max(np.abs(Q).sum(axis=1))) if n else 0.0
-    if rho_bound >= 1.0 - margin:
+    rho_bound = float(np.max(np.abs(Q).sum(axis=1)))
+    if rho_bound >= 1.0 - SPECTRAL_MARGIN:
         rho = spectral_radius(Q)
-        if rho >= 1.0 - margin:
+        if rho >= 1.0 - SPECTRAL_MARGIN:
             raise DivergentSystemError(
                 f"spectral radius {rho:.6g} of the relaying matrix is not "
                 f"safely below 1; the flow cascade does not die out"
@@ -313,7 +297,6 @@ def evaluate(
     X: ForwardingMatrix,
     spec: NetworkSpec,
     channel: ChannelMatrix | None = None,
-    channel_config: ChannelConfig | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
     check_feasibility: bool = True,
 ) -> CriteriaVector:
@@ -327,7 +310,7 @@ def evaluate(
     if tau.slot_count != spec.slot_count or tau.relay_ids != spec.relay_ids:
         raise SchemaError("rate matrix layout does not match the network")
     if channel is None:
-        channel = channel_matrix(tau, spec, channel_config)
+        channel = channel_matrix(tau, spec)
 
     if check_feasibility:
         check_forwarder_roles(X, tau)

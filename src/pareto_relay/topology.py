@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,10 @@ class RadioSpec:
     reference_gain: float = 1.0
 
     def __post_init__(self):
+        constants = (self.tx_power, self.noise_power, self.packet_bits,
+                     self.pathloss_exponent, self.reference_distance, self.reference_gain)
+        if not all(map(math.isfinite, constants)):
+            raise SchemaError("radio constants must be finite")
         if self.tx_power <= 0:
             raise SchemaError("tx_power_w must be > 0")
         if self.noise_power <= 0:
@@ -127,6 +132,19 @@ class NetworkSpec:
             next(n for n in self.nodes if n.id == node_id)
         )
 
+    @cached_property
+    def _gains(self) -> np.ndarray:
+        # Computed on first use, so a coincident-node TopologyError surfaces
+        # where the gains are needed; the spec is frozen, so it never goes stale.
+        n = self.n_nodes
+        g = np.zeros((n, n))
+        for i in self.nodes:
+            for j in self.nodes:
+                if i.id != j.id:
+                    g[i.id - 1, j.id - 1] = pathloss_gain(i, j, self.radio)
+        g.setflags(write=False)
+        return g
+
     def ids_with_role(self, role: Role) -> tuple[int, ...]:
         return tuple(n.id for n in sorted(self.nodes, key=lambda n: n.id) if n.role == role)
 
@@ -150,7 +168,13 @@ def _require(doc: dict, key: str, kind, where: str):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(f"{where}.{key} must be a number")
-        return float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise SchemaError(f"{where}.{key} must be finite")
+        return value
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaError(f"{where}.{key} must be an integer")
@@ -245,11 +269,6 @@ def pathloss_gain(i: NodeSpec, j: NodeSpec, radio: RadioSpec) -> float:
 
 
 def gain_matrix(spec: NetworkSpec) -> np.ndarray:
-    """(n, n) matrix of pairwise gains; the diagonal is 0 and never used."""
-    n = spec.n_nodes
-    g = np.zeros((n, n))
-    for i in spec.nodes:
-        for j in spec.nodes:
-            if i.id != j.id:
-                g[i.id - 1, j.id - 1] = pathloss_gain(i, j, spec.radio)
-    return g
+    """(n, n) read-only matrix of pairwise gains, computed once per spec;
+    the diagonal is 0 and never used."""
+    return spec._gains

@@ -20,6 +20,7 @@ from pareto_relay import (
     per,
     sinr,
 )
+from pareto_relay import topology
 from pareto_relay.errors import EnumerationCapError, SchemaError
 from pareto_relay.topology import gain_matrix
 
@@ -315,6 +316,25 @@ def test_channel_matrix_sampled_fallback_deterministic_and_close():
     sampled_b = channel_matrix(tau, spec, cfg)
     assert np.array_equal(sampled_a.probs, sampled_b.probs)
     assert np.max(np.abs(sampled_a.probs - exact.probs)) < 5e-3
+
+
+def test_channel_matrix_computes_gains_once_per_spec(monkeypatch):
+    calls = []
+    original = topology.pathloss_gain
+
+    def counting(i, j, radio):
+        calls.append((i.id, j.id))
+        return original(i, j, radio)
+
+    monkeypatch.setattr(topology, "pathloss_gain", counting)
+    spec = five_node()
+    tau = rate_matrix(spec, [[0.3, 0.0], [0.7, 0.0], [0.25, 0.0]], [[0.9, 0.0]])
+    channel_matrix(tau, spec)
+    channel_matrix(tau, spec, ChannelConfig(exact_cap=0, samples=10))
+    n = spec.n_nodes
+    assert len(calls) == n * (n - 1)
+    with pytest.raises(ValueError):
+        gain_matrix(spec)[0, 1] = 0.5
 
 
 def test_channel_matrix_diagonal_access_rejected(three_node):

@@ -297,3 +297,12 @@ def test_malformed_json_input_exits_1(workspace, capsys):
     broken.write_text('{"tau": [[NaN, 0.4]], "sources": [[1.0, 0.0]]}')
     assert main(args) == 1
     assert "rates must lie in [0, 1]" in capsys.readouterr().err
+    broken.write_text('{"tau": [["a", 0.4]], "sources": [[1.0, 0.0]]}')
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    broken.write_text('{"sources": [["a", 0.0]]}')
+    out_dir = workspace["dir"] / "front"
+    assert main(search_args(workspace, out_dir, "--sources", str(broken))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -291,5 +291,5 @@ def test_search_multi_feeder_uses_sampled_forwarding():
     assert x_indices
     # stored strategies re-evaluate to their recorded criteria
     for s in result.archive:
-        again = evaluate(s.tau, s.forwarding, spec, channel_config=None)
+        again = evaluate(s.tau, s.forwarding, spec)
         assert again.as_tuple() == pytest.approx(s.criteria.as_tuple(), abs=1e-12)
