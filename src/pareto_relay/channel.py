@@ -9,7 +9,6 @@ packet success rate comes from an uncoded BPSK/AWGN bit error rate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -18,7 +17,7 @@ from scipy.special import erfc
 
 from .errors import EnumerationCapError, SchemaError
 from .rates import RateMatrix, active_set
-from .topology import NetworkSpec, gain_matrix
+from .topology import NetworkSpec, gain_matrix, read_object, sparse_entries
 
 DEFAULT_EXACT_CAP = 20
 
@@ -247,23 +246,13 @@ class ChannelMatrix:
 
     @classmethod
     def from_json(cls, document, n_nodes: int, slot_count: int) -> "ChannelMatrix":
-        if isinstance(document, (str, bytes)):
-            try:
-                document = json.loads(document)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"channel document is not valid JSON: {exc}") from exc
-        if not isinstance(document, dict):
-            raise SchemaError("channel document must be an object with 'links'")
+        document = read_object(document, "channel")
         probs = np.zeros((n_nodes, n_nodes, slot_count))
-        for entry in document.get("links", []):
-            try:
-                i, j, u = entry["i"], entry["j"], entry["u"]
-                in_range = 1 <= i <= n_nodes and 1 <= j <= n_nodes and 1 <= u <= slot_count
-                if not in_range or i == j:
-                    raise SchemaError(f"channel link references no link: {entry!r}")
-                probs[i - 1, j - 1, u - 1] = entry["p"]
-            except (KeyError, TypeError, ValueError, IndexError) as exc:
-                raise SchemaError(f"malformed channel link {entry!r}") from exc
+        bounds = {"i": n_nodes, "j": n_nodes, "u": slot_count}
+        for i, j, u, p in sparse_entries(document, "links", "p", bounds):
+            if i == j:
+                raise SchemaError(f"channel link from node {i + 1} to itself")
+            probs[i, j, u] = p
         return cls(n_nodes, slot_count, probs)
 
 

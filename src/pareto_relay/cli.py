@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -28,7 +29,7 @@ from .mc_oracle import SimConfig, simulate
 from .pareto import ObjectiveSense, PruneThresholds, exhaustive_search
 from .rates import DEFAULT_TOLERANCE, RateGrid, RateMatrix
 from .steady_state import evaluate
-from .topology import load_network
+from .topology import load_network, read_object, require_rows
 
 
 class _UsageError(Exception):
@@ -66,6 +67,21 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def finite(text: str) -> float:
+    """argparse type: a finite float ("invalid finite value" otherwise)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def nonnegative_finite(text: str) -> float:
+    value = finite(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def _resolve_threads(value) -> int:
     if value is not None:
         return max(1, int(value))
@@ -81,7 +97,7 @@ def _resolve_threads(value) -> int:
 
 
 def _manifest(
-    subcommand: str, args: argparse.Namespace, inputs: dict[str, Path], wall: float
+    subcommand: str, args: argparse.Namespace, inputs: list[str], wall: float
 ) -> dict:
     flags = {
         k: (str(v) if isinstance(v, Path) else v)
@@ -93,7 +109,7 @@ def _manifest(
         "version": __version__,
         "subcommand": subcommand,
         "flags": flags,
-        "inputs": {str(p): _sha256(p) for p in inputs.values()},
+        "inputs": {str(Path(p)): _sha256(Path(p)) for p in inputs},
         "wall_time_s": wall,
     }
 
@@ -102,46 +118,42 @@ def _write_manifest(path: Path, manifest: dict) -> None:
     path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _load_common(args):
-    spec = load_network(Path(args.topology).read_text())
-    tau = RateMatrix.from_json(spec, Path(args.tau).read_text())
+def _load_strategy(args):
+    """The evaluate/oracle inputs and the channel they induce (dumped on request)."""
+    spec = load_network(Path(args.topology).read_bytes())
+    tau = RateMatrix.from_json(spec, Path(args.tau).read_bytes())
     X = ForwardingMatrix.from_json(
-        Path(args.x).read_text(), spec.n_nodes, spec.slot_count
+        Path(args.x).read_bytes(), spec.n_nodes, spec.slot_count
     )
-    return spec, tau, X
-
-
-def _maybe_dump_channels(args, channel) -> None:
+    channel = channel_matrix(tau, spec)
     if args.dump_channels:
         Path(args.dump_channels).write_text(_dump_json(channel.to_json_dict()))
+    return spec, tau, X, channel
 
 
-def cmd_evaluate(args) -> int:
-    started = time.perf_counter()
-    spec, tau, X = _load_common(args)
-    channel = channel_matrix(tau, spec)
-    _maybe_dump_channels(args, channel)
-    criteria = evaluate(tau, X, spec, channel=channel, tolerance=args.tolerance)
-    text = _dump_json(criteria.to_json_dict())
+def _write_result(subcommand: str, args, payload: dict, started: float) -> int:
+    """Print an evaluate/oracle result; with --output also write it and its manifest."""
+    text = _dump_json(payload)
     sys.stdout.write(text)
     if args.output:
         out = Path(args.output)
         out.write_text(text)
-        manifest = _manifest(
-            "evaluate",
-            args,
-            {"topology": Path(args.topology), "tau": Path(args.tau), "x": Path(args.x)},
-            time.perf_counter() - started,
-        )
+        inputs = [args.topology, args.tau, args.x]
+        manifest = _manifest(subcommand, args, inputs, time.perf_counter() - started)
         _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), manifest)
     return 0
 
 
+def cmd_evaluate(args) -> int:
+    started = time.perf_counter()
+    spec, tau, X, channel = _load_strategy(args)
+    criteria = evaluate(tau, X, spec, channel=channel, tolerance=args.tolerance)
+    return _write_result("evaluate", args, criteria.to_json_dict(), started)
+
+
 def cmd_oracle(args) -> int:
     started = time.perf_counter()
-    spec, tau, X = _load_common(args)
-    channel = channel_matrix(tau, spec)
-    _maybe_dump_channels(args, channel)
+    spec, tau, X, channel = _load_strategy(args)
     threads = _resolve_threads(args.threads)
     try:
         config = SimConfig(
@@ -156,53 +168,22 @@ def cmd_oracle(args) -> int:
     estimate = simulate(
         tau, X, spec, config, channel=channel, tolerance=args.tolerance
     )
-    text = _dump_json(estimate.to_json_dict())
-    sys.stdout.write(text)
-    if args.output:
-        out = Path(args.output)
-        out.write_text(text)
-        manifest = _manifest(
-            "oracle",
-            args,
-            {"topology": Path(args.topology), "tau": Path(args.tau), "x": Path(args.x)},
-            time.perf_counter() - started,
-        )
-        _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), manifest)
-    return 0
-
-
-def _load_source_rates(path: str | None, spec):
-    if path is None:
-        return None
-    document = json.loads(Path(path).read_text())
-    if not isinstance(document, dict) or "sources" not in document:
-        raise SchemaError("source-rate document must be an object with 'sources'")
-    try:
-        rates = np.asarray(document["sources"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"source rates must be numbers: {exc}") from exc
-    if rates.shape != (len(spec.source_ids), spec.slot_count):
-        raise SchemaError(
-            f"source rates must have shape "
-            f"({len(spec.source_ids)}, {spec.slot_count})"
-        )
-    return rates
+    return _write_result("oracle", args, estimate.to_json_dict(), started)
 
 
 def cmd_search(args) -> int:
     started = time.perf_counter()
-    if args.dump_channels:
-        sys.stderr.write(
-            "note: --dump-channels is ignored by search; each rate matrix "
-            "induces its own channel matrix\n"
-        )
-    spec = load_network(Path(args.topology).read_text())
+    spec = load_network(Path(args.topology).read_bytes())
     grid = RateGrid.parse(args.grid)
     senses = ObjectiveSense.parse(args.objectives)
     thresholds = PruneThresholds(
         min_robustness=args.min_robustness, max_energy=args.max_energy
     )
-    source_rates = _load_source_rates(args.sources, spec)
+    source_rates = None
+    if args.sources is not None:
+        # Shape and range are checked by every RateMatrix built from these rows.
+        document = read_object(Path(args.sources).read_bytes(), "source-rate")
+        source_rates = np.asarray(require_rows(document, "sources", "source-rate document"))
 
     result = exhaustive_search(
         spec,
@@ -242,11 +223,8 @@ def cmd_search(args) -> int:
         writer.writerow(["solution_id", "f", "f_c", "f_d", "f_e", "tau_path", "x_path"])
         writer.writerows(rows)
 
-    manifest = _manifest(
-        "search", args, {"topology": Path(args.topology)}, time.perf_counter() - started
-    )
-    if args.sources:
-        manifest["inputs"][str(Path(args.sources))] = _sha256(Path(args.sources))
+    inputs = [args.topology] + ([args.sources] if args.sources is not None else [])
+    manifest = _manifest("search", args, inputs, time.perf_counter() - started)
     _write_manifest(out_dir / "manifest.json", manifest)
 
     sys.stdout.write(
@@ -278,11 +256,12 @@ def _build_parser() -> _Parser:
     )
     common.add_argument(
         "--tolerance",
-        type=float,
+        type=nonnegative_finite,
         default=DEFAULT_TOLERANCE,
         help="numeric tolerance for the feasibility constraints",
     )
-    common.add_argument(
+    strategy = argparse.ArgumentParser(add_help=False, parents=[common])
+    strategy.add_argument(
         "--dump-channels",
         metavar="PATH",
         default=None,
@@ -292,7 +271,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_eval = sub.add_parser(
-        "evaluate", parents=[common], help="criteria for one (tau, X) strategy"
+        "evaluate", parents=[strategy], help="criteria for one (tau, X) strategy"
     )
     p_eval.add_argument("--topology", required=True)
     p_eval.add_argument("--tau", required=True)
@@ -311,8 +290,8 @@ def _build_parser() -> _Parser:
     p_search.add_argument(
         "--objectives", default="fc,fd,fe", help="comma list from f, fc, fd, fe"
     )
-    p_search.add_argument("--min-robustness", type=float, default=None)
-    p_search.add_argument("--max-energy", type=float, default=None)
+    p_search.add_argument("--min-robustness", type=finite, default=None)
+    p_search.add_argument("--max-energy", type=finite, default=None)
     p_search.add_argument(
         "--sources", default=None, help="JSON file fixing the source rates"
     )
@@ -320,7 +299,7 @@ def _build_parser() -> _Parser:
     p_search.set_defaults(func=cmd_search)
 
     p_oracle = sub.add_parser(
-        "oracle", parents=[common], help="Monte Carlo estimate of the criteria"
+        "oracle", parents=[strategy], help="Monte Carlo estimate of the criteria"
     )
     p_oracle.add_argument("--topology", required=True)
     p_oracle.add_argument("--tau", required=True)
@@ -328,7 +307,7 @@ def _build_parser() -> _Parser:
     p_oracle.add_argument("--packets", type=int, required=True)
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.add_argument("--max-epochs", type=int, default=10_000)
-    p_oracle.add_argument("--confidence", type=float, default=0.99)
+    p_oracle.add_argument("--confidence", type=finite, default=0.99)
     p_oracle.add_argument("--output", default=None)
     p_oracle.set_defaults(func=cmd_oracle)
     return parser
@@ -346,10 +325,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return 2
-    except ParetoRelayError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ParetoRelayError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

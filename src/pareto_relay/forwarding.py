@@ -15,7 +15,6 @@ samples are not uniform on such a constraint.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ from .errors import (
     SchemaError,
 )
 from .rates import DEFAULT_TOLERANCE, RateMatrix, active_set, relay_transmission_index
-from .topology import NetworkSpec
+from .topology import NetworkSpec, read_object, sparse_entries
 
 MAX_REJECTION_ATTEMPTS = 200
 
@@ -81,25 +80,11 @@ class ForwardingMatrix:
 
     @classmethod
     def from_json(cls, document, n_nodes: int, slot_count: int) -> "ForwardingMatrix":
-        if isinstance(document, (str, bytes)):
-            try:
-                document = json.loads(document)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"forwarding document is not valid JSON: {exc}") from exc
-        if not isinstance(document, dict) or "entries" not in document:
-            raise SchemaError("forwarding document must be an object with 'entries'")
+        document = read_object(document, "forwarding")
         values = np.zeros((n_nodes, n_nodes, slot_count, slot_count))
-        for entry in document["entries"]:
-            try:
-                i, j, u, v = entry["i"], entry["j"], entry["u"], entry["v"]
-                x = float(entry["x"])
-            except (KeyError, TypeError) as exc:
-                raise SchemaError(f"malformed forwarding entry {entry!r}") from exc
-            if not (1 <= i <= n_nodes and 1 <= j <= n_nodes):
-                raise SchemaError(f"forwarding entry references unknown node: {entry!r}")
-            if not (1 <= u <= slot_count and 1 <= v <= slot_count):
-                raise SchemaError(f"forwarding entry references unknown slot: {entry!r}")
-            values[i - 1, j - 1, u - 1, v - 1] = x
+        bounds = {"i": n_nodes, "j": n_nodes, "u": slot_count, "v": slot_count}
+        for i, j, u, v, x in sparse_entries(document, "entries", "x", bounds):
+            values[i, j, u, v] = x
         return cls(values)
 
     def __eq__(self, other) -> bool:

@@ -336,6 +336,8 @@ def exhaustive_search(
     sampler's seed, evaluation is pure, and archive insertion happens in
     enumeration order.
     """
+    if x_samples_per_tau < 1:
+        raise SchemaError("x_samples_per_tau must be >= 1")
     result = SearchResult(archive=ParetoArchive(senses))
     taus = enumerate_rate_matrices(grid, spec, n_max, source_rates=source_rates)
     for tau_idx, tau in enumerate(taus):

@@ -8,16 +8,15 @@ half duplex (reception plus own transmission cannot exceed one slot).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb
+from math import comb, isfinite
 from typing import Iterator
 
 import numpy as np
 
 from .errors import FlowConservationError, GridError, HalfDuplexError, SchemaError
-from .topology import NetworkSpec
+from .topology import NetworkSpec, read_object, require_rows
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -30,6 +29,8 @@ class RateGrid:
 
     def __post_init__(self):
         v = self.values
+        if not all(map(isfinite, v)):
+            raise GridError("rate grid values must be finite")
         if len(v) < 1 or v[0] != 0.0:
             raise GridError("rate grid must start with 0")
         if any(b <= a for a, b in zip(v, v[1:])):
@@ -60,11 +61,8 @@ class RateMatrix:
     """
 
     def __init__(self, relay_ids, source_ids, slot_count, relay_rates, source_rates):
-        try:
-            relay_rates = np.asarray(relay_rates, dtype=float)
-            source_rates = np.asarray(source_rates, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"rates must be numbers: {exc}") from exc
+        relay_rates = np.asarray(relay_rates, dtype=float)
+        source_rates = np.asarray(source_rates, dtype=float)
         if relay_rates.shape != (len(relay_ids), slot_count):
             raise SchemaError(
                 f"relay rates must have shape ({len(relay_ids)}, {slot_count}),"
@@ -135,14 +133,9 @@ class RateMatrix:
 
     @classmethod
     def from_json(cls, spec: NetworkSpec, document) -> "RateMatrix":
-        if isinstance(document, (str, bytes)):
-            try:
-                document = json.loads(document)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"rate document is not valid JSON: {exc}") from exc
-        if not isinstance(document, dict) or "tau" not in document or "sources" not in document:
-            raise SchemaError("rate document must be an object with keys 'tau' and 'sources'")
-        return cls.for_network(spec, document["tau"], document["sources"])
+        document = read_object(document, "rate")
+        tau, sources = (require_rows(document, k, "rate document") for k in ("tau", "sources"))
+        return cls.for_network(spec, tau, sources)
 
     def __eq__(self, other) -> bool:
         return (

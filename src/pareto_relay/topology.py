@@ -67,7 +67,11 @@ class RadioSpec:
     def __post_init__(self):
         constants = (self.tx_power, self.noise_power, self.packet_bits,
                      self.pathloss_exponent, self.reference_distance, self.reference_gain)
-        if not all(map(math.isfinite, constants)):
+        try:
+            finite = all(map(math.isfinite, constants))
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
             raise SchemaError("radio constants must be finite")
         if self.tx_power <= 0:
             raise SchemaError("tx_power_w must be > 0")
@@ -161,17 +165,38 @@ class NetworkSpec:
         return self.ids_with_role(Role.DESTINATION)
 
 
-def _require(doc: dict, key: str, kind, where: str):
+def read_object(document, name: str) -> dict:
+    """The one parser of outside documents: JSON text, bytes or an
+    already-parsed value, which must be a JSON object."""
+    if isinstance(document, (str, bytes)):
+        try:
+            document = json.loads(document)
+        except (ValueError, RecursionError) as exc:  # also non-UTF-8, too deep
+            raise SchemaError(f"{name} document is not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise SchemaError(f"{name} document must be a JSON object")
+    return document
+
+
+def _number(value, where: str) -> float:
+    # An int too large for a float becomes inf, for the caller's check to reject.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{where} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def require(doc: dict, key: str, kind, where: str):
+    """``doc[key]`` checked against ``kind``: ``int`` is a JSON integer (not a
+    bool or a float), ``float`` a finite JSON number (not a bool or a string),
+    any other type an ``isinstance`` check."""
     if key not in doc:
         raise SchemaError(f"missing key '{key}' in {where}")
     value = doc[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"{where}.{key} must be a number")
-        try:
-            value = float(value)
-        except OverflowError:
-            value = math.inf
+        value = _number(value, f"{where}.{key}")
         if not math.isfinite(value):
             raise SchemaError(f"{where}.{key} must be finite")
         return value
@@ -184,49 +209,71 @@ def _require(doc: dict, key: str, kind, where: str):
     return value
 
 
+def require_rows(doc: dict, key: str, where: str) -> list[list[float]]:
+    """``doc[key]`` as a list of equal-length lists of JSON numbers, converted
+    to float; the shape and range are the caller's checks."""
+    rows = require(doc, key, list, where)
+    if not all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows):
+        raise SchemaError(f"{where}.{key} must be a list of equal-length lists")
+    return [[_number(v, f"{where}.{key} entry") for v in row] for row in rows]
+
+
+def require_objects(doc: dict, key: str):
+    """Yield ``(where, entry)`` for each entry of the list ``doc[key]``, which
+    must be a JSON object."""
+    for k, entry in enumerate(require(doc, key, list, "document")):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{key}[{k}] must be an object")
+        yield f"{key}[{k}]", entry
+
+
+def sparse_entries(doc: dict, key: str, value: str, bounds: dict[str, int]):
+    """Yield ``(*indices, value)`` for every object in the list ``doc[key]``:
+    each index named in ``bounds`` must be a JSON integer in 1..bound and is
+    yielded 0-based; the value must be a finite number."""
+    for where, entry in require_objects(doc, key):
+        indices = []
+        for name, bound in bounds.items():
+            index = require(entry, name, int, where)
+            if not 1 <= index <= bound:
+                raise SchemaError(f"{where}.{name} must lie in 1..{bound}, got {index}")
+            indices.append(index - 1)
+        yield (*indices, require(entry, value, float, where))
+
+
 def load_network(document) -> NetworkSpec:
     """Parse and validate a topology document.
 
-    ``document`` may be a JSON string or an already-parsed dict with the
-    top-level keys ``nodes``, ``radio`` and ``frame``.
+    ``document`` may be JSON text (str or bytes) or an already-parsed
+    dict with the top-level keys ``nodes``, ``radio`` and ``frame``.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"topology document is not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise SchemaError("topology document must be a JSON object")
-
-    raw_nodes = _require(document, "nodes", list, "document")
+    document = read_object(document, "topology")
     nodes = []
-    for k, entry in enumerate(raw_nodes):
-        if not isinstance(entry, dict):
-            raise SchemaError(f"nodes[{k}] must be an object")
-        node_id = _require(entry, "id", int, f"nodes[{k}]")
-        role = _require(entry, "role", str, f"nodes[{k}]")
+    for where, entry in require_objects(document, "nodes"):
+        node_id = require(entry, "id", int, where)
+        role = require(entry, "role", str, where)
         try:
             role = Role(role)
         except ValueError:
             raise SchemaError(
-                f"nodes[{k}].role must be one of source/relay/destination, got {role!r}"
+                f"{where}.role must be one of source/relay/destination, got {role!r}"
             ) from None
-        x = _require(entry, "x", float, f"nodes[{k}]")
-        y = _require(entry, "y", float, f"nodes[{k}]")
+        x = require(entry, "x", float, where)
+        y = require(entry, "y", float, where)
         nodes.append(NodeSpec(id=node_id, role=role, position=(x, y)))
 
-    raw_radio = _require(document, "radio", dict, "document")
+    raw_radio = require(document, "radio", dict, "document")
     radio = RadioSpec(
-        tx_power=_require(raw_radio, "tx_power_w", float, "radio"),
-        noise_power=_require(raw_radio, "noise_power_w", float, "radio"),
-        packet_bits=_require(raw_radio, "packet_bits", int, "radio"),
-        pathloss_exponent=_require(raw_radio, "pathloss_exponent", float, "radio"),
-        reference_distance=_require(raw_radio, "reference_distance_m", float, "radio"),
-        reference_gain=_require(raw_radio, "reference_gain", float, "radio"),
+        tx_power=require(raw_radio, "tx_power_w", float, "radio"),
+        noise_power=require(raw_radio, "noise_power_w", float, "radio"),
+        packet_bits=require(raw_radio, "packet_bits", int, "radio"),
+        pathloss_exponent=require(raw_radio, "pathloss_exponent", float, "radio"),
+        reference_distance=require(raw_radio, "reference_distance_m", float, "radio"),
+        reference_gain=require(raw_radio, "reference_gain", float, "radio"),
     )
 
-    raw_frame = _require(document, "frame", dict, "document")
-    frame = SlotFrame(slot_count=_require(raw_frame, "slots", int, "frame"))
+    raw_frame = require(document, "frame", dict, "document")
+    frame = SlotFrame(slot_count=require(raw_frame, "slots", int, "frame"))
 
     nodes.sort(key=lambda n: n.id)
     return NetworkSpec(nodes=tuple(nodes), radio=radio, frame=frame)
@@ -264,7 +311,10 @@ def pathloss_gain(i: NodeSpec, j: NodeSpec, radio: RadioSpec) -> float:
     d = distance(i, j)
     if d <= 0.0:
         raise TopologyError(f"nodes {i.id} and {j.id} are coincident (distance 0)")
-    gain = radio.reference_gain * (radio.reference_distance / d) ** radio.pathloss_exponent
+    try:
+        gain = radio.reference_gain * (radio.reference_distance / d) ** radio.pathloss_exponent
+    except OverflowError:  # (d_0 / d)^alpha > 1 beyond the float range: clamped
+        return radio.reference_gain
     return min(gain, radio.reference_gain)
 
 

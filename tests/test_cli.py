@@ -1,7 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pareto_relay import (
     ForwardingMatrix,
@@ -194,10 +200,11 @@ def test_search_aggressive_threshold_empties_front(workspace, capsys):
     assert lines == ["solution_id,f,f_c,f_d,f_e,tau_path,x_path"]
 
 
-def test_search_notes_ignored_dump_channels(workspace, capsys):
-    out_dir = workspace["dir"] / "noted"
-    assert main(search_args(workspace, out_dir, "--dump-channels", "nowhere.json")) == 0
-    assert "ignored" in capsys.readouterr().err
+def test_search_rejects_dump_channels(workspace, capsys):
+    out_dir = workspace["dir"] / "rejected"
+    assert main(search_args(workspace, out_dir, "--dump-channels", "nowhere.json")) == 1
+    assert "--dump-channels" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_search_objectives_flag(workspace, capsys):
@@ -266,6 +273,21 @@ def test_usage_errors_exit_1(workspace, capsys):
     capsys.readouterr()
     assert main(oracle_args(workspace, "--packets", "0")) == 1
     assert capsys.readouterr().err == "error: n_packets must be >= 1\n"
+    out_dir = workspace["dir"] / "never"
+    for args in (
+        search_args(workspace, out_dir, "--x-samples", "0"),
+        search_args(workspace, out_dir, "--x-samples", "-2"),
+        search_args(workspace, out_dir, "--min-robustness", "nan"),
+        search_args(workspace, out_dir, "--max-energy", "nan"),
+        search_args(workspace, out_dir, "--grid", "0,nan"),
+        search_args(workspace, out_dir, "--tolerance", "nan"),
+        eval_args(workspace, "--tolerance", "nan"),
+        eval_args(workspace, "--tolerance", "-1e-9"),
+        oracle_args(workspace, "--confidence", "nan"),
+    ):
+        assert main(args) == 1, args
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error:"), args
+    assert not out_dir.exists()
 
 
 def test_version_flag(capsys):
@@ -301,8 +323,80 @@ def test_malformed_json_input_exits_1(workspace, capsys):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    broken.write_text('{"sources": [["a", 0.0]]}')
-    out_dir = workspace["dir"] / "front"
-    assert main(search_args(workspace, out_dir, "--sources", str(broken))) == 1
+    broken.write_bytes(b'{"tau": "\xff"}')  # not UTF-8
+    assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    out_dir = workspace["dir"] / "front"
+    for sources in ('{"sources": [["a", 0.0]]}', '{"sources": [["1.0", 0.0]]}',
+                    '{"sources": [[1.0, 0.0, 0.0]]}', '{"rates": [[1.0, 0.0]]}'):
+        broken.write_text(sources)
+        assert main(search_args(workspace, out_dir, "--sources", str(broken))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+# Any JSON value, kept small: no count it could stand in for makes the
+# program allocate more than its inputs need.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 4) | st.just(10**400) | st.just(1e300)
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+# (document, path to the field replaced); the empty path replaces the document.
+FUZZ_FIELDS = [
+    ("topology", ()), ("topology", ("nodes",)), ("topology", ("nodes", 1)),
+    ("topology", ("nodes", 1, "id")), ("topology", ("nodes", 1, "role")),
+    ("topology", ("nodes", 1, "x")), ("topology", ("radio",)),
+    ("topology", ("radio", "tx_power_w")), ("topology", ("radio", "noise_power_w")),
+    ("topology", ("radio", "packet_bits")), ("topology", ("radio", "pathloss_exponent")),
+    ("topology", ("radio", "reference_distance_m")), ("topology", ("frame", "slots")),
+    ("tau", ()), ("tau", ("tau",)), ("tau", ("tau", 0)), ("tau", ("tau", 0, 1)),
+    ("tau", ("sources", 0, 0)),
+    ("x", ()), ("x", ("entries",)), ("x", ("entries", 0)), ("x", ("entries", 0, "i")),
+    ("x", ("entries", 0, "v")), ("x", ("entries", 0, "x")),
+]
+
+
+def _strategy_documents() -> dict:
+    spec = line_spec(slots=2)
+    tau = rate_matrix(spec, [[0.0, 0.4]], [[1.0, 0.0]])
+    X = solve_chain_closed_form(tau, channel_matrix(tau, spec), spec)
+    return {
+        "topology": serialize_network(spec),
+        "tau": tau.to_json_dict(),
+        "x": X.to_json_dict(),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(field=st.sampled_from(FUZZ_FIELDS), value=JSON_VALUES)
+def test_evaluate_exit_code_contract(field, value):
+    """Whatever one field of the inputs holds, evaluate exits 0, 1 or 2, and
+    on failure prints exactly one error:/infeasible: line."""
+    name, path = field
+    docs = _strategy_documents()
+    if path:
+        target = docs[name]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    else:
+        docs[name] = value
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        args = ["evaluate"]
+        for key, doc in docs.items():
+            doc_path = Path(tmp) / f"{key}.json"
+            doc_path.write_text(json.dumps(doc))
+            args += [f"--{key}", str(doc_path)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+    assert code in (0, 1, 2)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(("error:", "infeasible:")), lines

@@ -116,6 +116,10 @@ def test_gain_inverse_square():
 def test_gain_clamped_inside_reference_distance():
     spec = make_spec([(1, "source", 0, 0), (2, "destination", 0.5, 0)])
     assert pathloss_gain(spec.node(1), spec.node(2), spec.radio) == pytest.approx(1.0)
+    # (d_0 / d)^alpha beyond the float range is clamped too, not an OverflowError
+    far = make_spec([(1, "source", 0, 0), (2, "destination", 1, 0)],
+                    radio={"reference_distance_m": 1e300})
+    assert pathloss_gain(far.node(1), far.node(2), far.radio) == 1.0
 
 
 def test_coincident_positions_rejected():
