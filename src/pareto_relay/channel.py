@@ -260,22 +260,40 @@ def channel_matrix(
     tau: RateMatrix,
     spec: NetworkSpec,
     config: ChannelConfig | None = None,
+    *,
+    slot_cache: dict | None = None,
 ) -> ChannelMatrix:
     """Assemble p_ij^u for every ordered node pair and slot.
 
     Uses exact enumeration while the candidate pool stays within the cap and
     falls back to the seeded sampled estimate beyond it.
+
+    The slice of slot u depends only on the geometry, on column u of tau
+    (every node's rate in slot u) and on ``config``. Each slice is looked up
+    in ``slot_cache`` under ``(u, column bytes, config)`` and computed and
+    stored only on a miss, so a cached result is the same array a fresh call
+    returns; without a given cache a fresh one serves this call alone. ``u``
+    stays in the key because the sampled fallback seeds each link by its
+    slot. A cache belongs to one ``NetworkSpec``: its keys do not name the
+    geometry.
     """
     if config is None:
         config = ChannelConfig()
+    cache = {} if slot_cache is None else slot_cache
     n = spec.n_nodes
     slots = spec.slot_count
     probs = np.zeros((n, n, slots))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            for u in range(1, slots + 1):
+    for u in range(1, slots + 1):
+        column = np.array([tau.rate(i, u) for i in range(1, n + 1)])
+        key = (u, column.tobytes(), config)
+        cached = cache.get(key)
+        if cached is not None:
+            probs[:, :, u - 1] = cached
+            continue
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
                 try:
                     p = channel_probability_exact(spec, tau, i, j, u, config.exact_cap)
                 except EnumerationCapError:
@@ -284,6 +302,7 @@ def channel_matrix(
                         seed=_link_seed(config.seed, i, j, u),
                     )
                 probs[i - 1, j - 1, u - 1] = p
+        cache[key] = probs[:, :, u - 1].copy()
     return ChannelMatrix(n, slots, probs)
 
 

@@ -8,9 +8,10 @@ much flow: summed over senders i and in-slots u,
 The x entries are free parameters in [0, 1] otherwise, so the feasible set
 per active relay transmission is a simplex slice. This module checks the
 constraints, solves them in closed form when each has a single feeder term,
-and samples the general polytope by rejection: a constraint whose draws are
-all rejected (200 of them) falls back to its proportional point, so the
-samples are not uniform on such a constraint.
+and samples the general polytope by rejection: each constraint draws its 200
+candidate points in one batch and takes the first one inside the box; a
+constraint whose draws are all rejected falls back to its proportional
+point, so the samples are not uniform on such a constraint.
 """
 
 from __future__ import annotations
@@ -227,9 +228,12 @@ def sample_feasible_forwarding(
 
     Each constraint fixes a weighted sum of its x entries, so the feasible
     region is the product over constraints of simplex slices bounded by
-    x <= 1. Per constraint the slice is sampled by scaling a flat Dirichlet
-    draw and rejecting points with an entry above 1. After
-    ``MAX_REJECTION_ATTEMPTS`` (200) rejected draws the proportional point
+    x <= 1. Per constraint the slice is sampled by scaling flat Dirichlet
+    draws and rejecting points with an entry above 1: the
+    ``MAX_REJECTION_ATTEMPTS`` (200) draws are made in one batched call and
+    the first accepted row is used, after which the generator is rewound so
+    that it stands where drawing one point at a time up to that row would
+    leave it. When all 200 draws are rejected the proportional point
     x_i = t / sum(coeffs) is used, which always lies inside; the draw is
     then not uniform on that constraint, and every sample repeats that
     point there. Deterministic per seed; sample k
@@ -259,14 +263,21 @@ def sample_feasible_forwarding(
         )
         for j, v, t_out, terms, total in constraints:
             coeffs = np.array([c for _, _, c in terms])
-            xs = None
-            for _ in range(MAX_REJECTION_ATTEMPTS):
-                share = t_out * rng.dirichlet(np.ones(len(terms)))
-                candidate = share / coeffs
-                if np.all(candidate <= 1.0):
-                    xs = candidate
-                    break
-            if xs is None:
+            alpha = np.ones(len(terms))
+            state = rng.bit_generator.state
+            candidates = (
+                t_out * rng.dirichlet(alpha, size=MAX_REJECTION_ATTEMPTS) / coeffs
+            )
+            accepted = np.flatnonzero(np.all(candidates <= 1.0, axis=1))
+            if accepted.size:
+                first = int(accepted[0])
+                xs = candidates[first]
+                # Rewind and redraw only the draws up to the accepted one, so
+                # the next constraint sees the generator where a draw-by-draw
+                # loop would have left it.
+                rng.bit_generator.state = state
+                rng.dirichlet(alpha, size=first + 1)
+            else:
                 # Tight constraint: fall back to the always-feasible
                 # proportional solution instead of rejecting forever.
                 xs = np.full(len(terms), t_out / total)

@@ -134,7 +134,12 @@ class RateMatrix:
     @classmethod
     def from_json(cls, spec: NetworkSpec, document) -> "RateMatrix":
         document = read_object(document, "rate")
-        tau, sources = (require_rows(document, k, "rate document") for k in ("tau", "sources"))
+        # An empty row list carries no slot count: a network without relays
+        # writes "tau": [].
+        tau, sources = (
+            require_rows(document, k, "rate document") or np.zeros((0, spec.slot_count))
+            for k in ("tau", "sources")
+        )
         return cls.for_network(spec, tau, sources)
 
     def __eq__(self, other) -> bool:

@@ -20,7 +20,7 @@ from pareto_relay import (
     per,
     sinr,
 )
-from pareto_relay import topology
+from pareto_relay import RateGrid, enumerate_rate_matrices, topology
 from pareto_relay.errors import EnumerationCapError, SchemaError
 from pareto_relay.topology import gain_matrix
 
@@ -335,6 +335,31 @@ def test_channel_matrix_computes_gains_once_per_spec(monkeypatch):
     assert len(calls) == n * (n - 1)
     with pytest.raises(ValueError):
         gain_matrix(spec)[0, 1] = 0.5
+
+
+@pytest.mark.parametrize(
+    "config", [ChannelConfig(), ChannelConfig(exact_cap=0, samples=64)],
+    ids=["exact", "sampled"],
+)
+def test_channel_matrix_slot_cache_matches_fresh(config):
+    # One cache serves every tau of a search, with default and with given
+    # source rates; with all links sampled, equal columns in different slots
+    # must not share a slice (each link is seeded by its slot).
+    spec = five_node()
+    grid = RateGrid.parse("0,0.5")
+    cache = {}
+    columns = set()
+    for sources in (None, np.array([[0.5, 0.5]])):
+        for tau in enumerate_rate_matrices(grid, spec, 2, source_rates=sources):
+            cached = channel_matrix(tau, spec, config, slot_cache=cache)
+            fresh = channel_matrix(tau, spec, config)
+            assert np.array_equal(cached.probs, fresh.probs)
+            columns |= {
+                (u, tuple(tau.rate(i, u) for i in range(1, spec.n_nodes + 1)))
+                for u in range(1, spec.slot_count + 1)
+            }
+    # One slice per distinct (slot, column) pair: repeated columns share it.
+    assert len(cache) == len(columns)
 
 
 def test_channel_matrix_diagonal_access_rejected(three_node):

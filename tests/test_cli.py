@@ -18,7 +18,7 @@ from pareto_relay import (
 )
 from pareto_relay.cli import main
 
-from conftest import line_spec, rate_matrix
+from conftest import line_spec, make_spec, rate_matrix
 
 
 def fmt(x: float) -> float:
@@ -190,6 +190,35 @@ def test_search_without_relays(workspace, capsys):
     lines = (out_dir / "front.csv").read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("000000-0000,")
+
+
+@pytest.mark.parametrize("relays", [0, 1])
+def test_search_output_evaluates_to_front_csv(workspace, capsys, relays):
+    # relays=0: a source->destination network, whose tau files hold "tau": [].
+    out_dir = workspace["dir"] / f"round-trip-{relays}"
+    args = search_args(workspace, out_dir)
+    if not relays:
+        spec = make_spec([(1, "source", 0, 0), (2, "destination", 1, 0)])
+        workspace["topology"].write_text(json.dumps(serialize_network(spec)))
+        args[args.index("--n-max") + 1] = "0"
+    assert main(args) == 0
+    capsys.readouterr()
+    lines = (out_dir / "front.csv").read_text().splitlines()
+    assert len(lines) > 1
+    for line in lines[1:]:
+        _, f, f_c, f_d, f_e, tau_name, x_name = line.split(",")
+        code = main([
+            "evaluate",
+            "--topology", str(workspace["topology"]),
+            "--tau", str(out_dir / tau_name),
+            "--x", str(out_dir / x_name),
+        ])
+        assert code == 0, capsys.readouterr().err
+        payload = json.loads(capsys.readouterr().out)
+        # The strategy files carry 12 digits, so re-evaluating them can move
+        # a criterion in its last printed digit.
+        want = dict(zip(("f", "f_c", "f_d", "f_e"), map(float, (f, f_c, f_d, f_e))))
+        assert payload == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_search_aggressive_threshold_empties_front(workspace, capsys):

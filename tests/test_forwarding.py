@@ -17,7 +17,12 @@ from pareto_relay.errors import (
     ModelViolationError,
     SchemaError,
 )
-from pareto_relay.forwarding import check_forwarder_roles, feeder_terms
+from pareto_relay.forwarding import (
+    MAX_REJECTION_ATTEMPTS,
+    check_forwarder_roles,
+    feeder_terms,
+)
+from pareto_relay.rates import relay_transmission_index
 
 from conftest import injected_channel, line_spec, make_spec, rate_matrix
 
@@ -176,9 +181,10 @@ def test_sampler_detects_unreachable_rate():
         sample_feasible_forwarding(tau, P, spec, count=1, seed=0)
 
 
-def test_sampler_tight_constraint_falls_back_to_full_forwarding():
-    # both feeder coefficients sum exactly to the out-rate, so the only
-    # feasible point is x = 1 on every feeder
+def tight_setup():
+    """Both feeder coefficients sum exactly to the out-rate, so the only
+    feasible point is x = 1 on every feeder: every draw is rejected and the
+    constraint falls back to its proportional point."""
     spec = make_spec(
         [
             (1, "source", 0, 0),
@@ -189,10 +195,98 @@ def test_sampler_tight_constraint_falls_back_to_full_forwarding():
     )
     tau = rate_matrix(spec, [[0.0, 0.5]], [[1.0, 0.0], [1.0, 0.0]])
     P = injected_channel(4, 2, {(1, 3, 1): 0.5, (2, 3, 1): 0.5, (3, 4, 2): 0.9})
+    return spec, tau, P
+
+
+def test_sampler_tight_constraint_falls_back_to_full_forwarding():
+    spec, tau, P = tight_setup()
     (X,) = sample_feasible_forwarding(tau, P, spec, count=1, seed=0)
     assert X.x(1, 3, 1, 2) == pytest.approx(1.0)
     assert X.x(2, 3, 1, 2) == pytest.approx(1.0)
     assert consistency_residuals(X, tau, P).consistent
+
+
+def _sampler_reference(tau, P, spec, count, seed):
+    """The draw-by-draw rejection loop that the batched sampler replaced:
+    one Dirichlet call per attempt. Returns the forwarding values and how
+    many draws each constraint used."""
+    constraints = []
+    for j, v in relay_transmission_index(tau):
+        terms = feeder_terms(tau, P, j, v)
+        constraints.append((j, v, tau.rate(j, v), terms, sum(c for _, _, c in terms)))
+    out, used = [], []
+    for k in range(count):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+        )
+        values = np.zeros((spec.n_nodes, spec.n_nodes, spec.slot_count, spec.slot_count))
+        for j, v, t_out, terms, total in constraints:
+            coeffs = np.array([c for _, _, c in terms])
+            xs = None
+            for attempt in range(1, MAX_REJECTION_ATTEMPTS + 1):
+                candidate = t_out * rng.dirichlet(np.ones(len(terms))) / coeffs
+                if np.all(candidate <= 1.0):
+                    xs = candidate
+                    break
+            used.append(attempt)
+            if xs is None:
+                xs = np.full(len(terms), t_out / total)
+            for (i, u, _), x in zip(terms, xs):
+                values[i - 1, j - 1, u - 1, v - 1] = min(float(x), 1.0)
+        out.append(values)
+    return out, used
+
+
+def two_constraint_setup():
+    """Two sources feed relay 3 in slot 1; it forwards in slots 2 and 3. The
+    slot-2 constraint accepts about one draw in eight, so it usually stops
+    after several draws; the slot-3 constraint follows it on the same
+    generator."""
+    spec = make_spec(
+        [
+            (1, "source", 0, 0),
+            (2, "source", 0, 1),
+            (3, "relay", 1, 0),
+            (4, "destination", 2, 0),
+        ],
+        slots=3,
+    )
+    tau = rate_matrix(spec, [[0.0, 0.4, 0.2]], [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    P = injected_channel(
+        4, 3, {(1, 3, 1): 0.4, (2, 3, 1): 0.35, (3, 4, 2): 0.9, (3, 4, 3): 0.9}
+    )
+    return spec, tau, P
+
+
+@pytest.mark.parametrize(
+    "setup, draws",
+    [
+        (chain_setup, "first"),  # one feeder: the first draw is the point
+        (two_source_setup, "few"),
+        (tight_setup, "all"),
+        (two_constraint_setup, "several"),
+    ],
+)
+def test_batched_sampler_matches_draw_by_draw_loop(setup, draws):
+    spec, tau, P = setup()
+    used = []
+    for seed in (0, 1, 7, 123):
+        for count in (1, 3, 8):
+            want, n = _sampler_reference(tau, P, spec, count, seed)
+            used += n
+            got = sample_feasible_forwarding(tau, P, spec, count=count, seed=seed)
+            assert len(got) == count
+            for X, values in zip(got, want):
+                assert np.array_equal(X.values, values)
+    # the setup exercises the path it is named for
+    if draws == "first":
+        assert set(used) == {1}
+    elif draws == "few":
+        assert max(used) < 10
+    elif draws == "all":
+        assert set(used) == {MAX_REJECTION_ATTEMPTS}
+    else:
+        assert any(1 < n < MAX_REJECTION_ATTEMPTS for n in used)
 
 
 def test_forwarding_matrix_validation():

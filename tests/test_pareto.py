@@ -16,6 +16,7 @@ from pareto_relay import (
     Sense,
     count_rate_matrices,
     dominates,
+    enumerate_rate_matrices,
     evaluate,
     exhaustive_search,
     prune_tau,
@@ -293,3 +294,28 @@ def test_search_multi_feeder_uses_sampled_forwarding():
     for s in result.archive:
         again = evaluate(s.tau, s.forwarding, spec)
         assert again.as_tuple() == pytest.approx(s.criteria.as_tuple(), abs=1e-12)
+
+
+def test_search_counts_channel_slices():
+    # The benchmark's search-interference network: 169 rate matrices share
+    # 21 distinct (slot, column) pairs.
+    spec = make_spec(
+        [
+            (1, "source", 0, 0),
+            (2, "relay", 1, 0.5),
+            (3, "relay", 1, -0.5),
+            (4, "relay", 2, 0),
+            (5, "destination", 3, 0),
+        ],
+        slots=3,
+    )
+    grid = RateGrid.parse("0,0.25")
+    result = exhaustive_search(spec, grid, n_max=2, x_samples_per_tau=1, seed=0)
+    columns = {
+        (u, tuple(tau.rate(i, u) for i in range(1, spec.n_nodes + 1)))
+        for tau in enumerate_rate_matrices(grid, spec, 2)
+        for u in range(1, spec.slot_count + 1)
+    }
+    assert result.n_tau == 169
+    assert result.channel_slices == len(columns) == 21
+    assert result.n_tau * spec.slot_count - result.channel_slices == 486
