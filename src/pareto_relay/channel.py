@@ -10,7 +10,6 @@ packet success rate comes from an uncoded BPSK/AWGN bit error rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy.special import erfc
@@ -40,16 +39,8 @@ def ber_bpsk_awgn(gamma):
     return float(out) if np.isscalar(gamma) else out
 
 
-def per(gamma, packet_bits: int):
-    """Packet error rate 1 - (1 - BER)^N_b for an N_b-bit packet."""
-    if packet_bits < 1:
-        raise ValueError("packet_bits must be >= 1")
-    out = 1.0 - np.power(1.0 - ber_bpsk_awgn(gamma), packet_bits)
-    return float(out) if np.isscalar(gamma) else out
-
-
 def packet_success(gamma, packet_bits: int):
-    """(1 - BER)^N_b, the complement of :func:`per`."""
+    """(1 - BER)^N_b: the probability that all N_b bits of a packet arrive."""
     out = np.power(1.0 - ber_bpsk_awgn(gamma), packet_bits)
     return float(out) if np.isscalar(gamma) else out
 
@@ -66,46 +57,6 @@ def interference_candidates(
     """
     act = active_set(tau)
     return tuple(k for k in act.in_slot(slot) if k not in (sender, receiver))
-
-
-def interference_power(
-    spec: NetworkSpec, sender: int, receiver: int, members: Iterable[int]
-) -> float:
-    """Total interference power in watts at ``receiver``: sum of P_T * a_kj."""
-    members = tuple(members)
-    if sender in members or receiver in members:
-        raise ValueError("interfering set must exclude both link endpoints")
-    gains = gain_matrix(spec)
-    return float(
-        sum(spec.radio.tx_power * gains[k - 1, receiver - 1] for k in members)
-    )
-
-
-def sinr(spec: NetworkSpec, sender: int, receiver: int, interference: float) -> float:
-    """SINR of the link: P_T * a_ij / (N_0 + I)."""
-    gains = gain_matrix(spec)
-    signal = spec.radio.tx_power * gains[sender - 1, receiver - 1]
-    return signal / (spec.radio.noise_power + interference)
-
-
-def interfering_set_probability(
-    members: Iterable[int], candidates: Iterable[int], slot: int, tau: RateMatrix
-) -> float:
-    """Probability that exactly ``members`` out of ``candidates`` transmit.
-
-    Product of tau_k over the members times (1 - tau_m) over the remaining
-    candidates, so the probabilities of all subsets of a fixed candidate
-    pool partition the space and sum to 1.
-    """
-    members = set(members)
-    candidates = tuple(candidates)
-    if not members <= set(candidates):
-        raise ValueError("interfering set must be a subset of the candidate pool")
-    p = 1.0
-    for k in candidates:
-        t = tau.rate(k, slot)
-        p *= t if k in members else (1.0 - t)
-    return p
 
 
 def _subset_average(

@@ -82,6 +82,14 @@ def nonnegative_finite(text: str) -> float:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type: an integer >= 0, such as a seed."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def _resolve_threads(value) -> int:
     if value is not None:
         return max(1, int(value))
@@ -286,7 +294,7 @@ def _build_parser() -> _Parser:
     p_search.add_argument("--grid", required=True, help="comma list, e.g. 0,0.5,1")
     p_search.add_argument("--n-max", type=int, required=True)
     p_search.add_argument("--x-samples", type=int, default=5)
-    p_search.add_argument("--seed", type=int, default=0)
+    p_search.add_argument("--seed", type=nonnegative_int, default=0)
     p_search.add_argument(
         "--objectives", default="fc,fd,fe", help="comma list from f, fc, fd, fe"
     )
@@ -305,7 +313,7 @@ def _build_parser() -> _Parser:
     p_oracle.add_argument("--tau", required=True)
     p_oracle.add_argument("--x", required=True)
     p_oracle.add_argument("--packets", type=int, required=True)
-    p_oracle.add_argument("--seed", type=int, default=0)
+    p_oracle.add_argument("--seed", type=nonnegative_int, default=0)
     p_oracle.add_argument("--max-epochs", type=int, default=10_000)
     p_oracle.add_argument("--confidence", type=finite, default=0.99)
     p_oracle.add_argument("--output", default=None)

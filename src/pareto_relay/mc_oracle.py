@@ -55,6 +55,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_packets < 1:
             raise ValueError("n_packets must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if not 0.0 < self.confidence < 1.0:
@@ -142,6 +144,28 @@ def _injections(
     return out
 
 
+def _row_draws(Q: np.ndarray, D: np.ndarray):
+    """Per transient state a: the positive probabilities of D[a] then Q[a]
+    as a column, how many of them are D's, and the states Q[a] feeds."""
+    rows = []
+    for a in range(Q.shape[0]):
+        d_pos = D[a, D[a] > 0.0]
+        q_cols = np.flatnonzero(Q[a] > 0.0)
+        probs = np.concatenate([d_pos, Q[a, q_cols]])[:, None]
+        rows.append((probs, d_pos.size, q_cols))
+    return rows
+
+
+def _binomial_rows(rng, n, probs: np.ndarray, width: int, limit: int):
+    """Yield ``rng.binomial(n, p, size=width)`` for each p in the column
+    ``probs``, drawn in calls of at most ``limit`` values each (at least
+    one row per call); C order makes these the draws of one call."""
+    step = max(1, limit // max(width, 1))
+    for lo in range(0, probs.shape[0], step):
+        chunk = probs[lo : lo + step]
+        yield from rng.binomial(n, chunk, size=(chunk.shape[0], width))
+
+
 def _simulate_block(
     block_idx: int,
     block_n: int,
@@ -153,7 +177,21 @@ def _simulate_block(
 ) -> tuple[np.ndarray, int]:
     """One block of independent trials; returns the moment vector
     (sum f, sum f^2, sum delay, sum delay^2, sum energy, sum energy^2)
-    and the number of truncated trials."""
+    and the number of truncated trials.
+
+    Draw order: each injection makes one ``random`` draw per trial, then
+    draws binomials over the trials that sent, for its positive
+    direct-delivery probabilities and then its positive spawn
+    probabilities. Each epoch then draws, for each transient state a in
+    turn, binomials over the live trials (those still holding a copy) for
+    the positive entries of D[a] and then of Q[a]. Two facts about
+    ``Generator.binomial`` make this the stream of one call per
+    probability over the whole block: a call with ``n`` of shape (N,) and
+    ``p`` of shape (k, 1) draws in C order, bit for bit like k separate
+    calls, and a trial with ``n = 0`` consumes no draw. The probabilities
+    of a row share one call up to the size of the block's copy-count
+    array, so no draw array outgrows it.
+    """
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block_idx,)))
     )
@@ -161,38 +199,39 @@ def _simulate_block(
     f_cnt = np.zeros(block_n, dtype=np.int64)
     delay_cnt = np.zeros(block_n, dtype=np.int64)
     energy_cnt = np.zeros(block_n, dtype=np.int64)
-    counts = np.zeros((block_n, l), dtype=np.int64)
+    # copies held per (transient state, trial); one row per state
+    counts = np.zeros((l, block_n), dtype=np.int64)
+    limit = counts.size
 
     for t_src, spawn, direct in injections:
-        tx = (rng.random(block_n) < t_src).astype(np.int64)
-        for p in direct:
-            if p > 0.0:
-                f_cnt += rng.binomial(tx, p)
-        for b in range(l):
-            if spawn[b] > 0.0:
-                counts[:, b] += rng.binomial(tx, spawn[b])
+        sent = np.flatnonzero(rng.random(block_n) < t_src)
+        spawn_rows = np.flatnonzero(spawn > 0.0)
+        probs = np.concatenate([direct[direct > 0.0], spawn[spawn_rows]])[:, None]
+        drawn = _binomial_rows(rng, 1, probs, sent.size, limit)
+        for _ in range(probs.shape[0] - spawn_rows.size):
+            f_cnt[sent] += next(drawn)
+        for b, spawned in zip(spawn_rows, drawn):
+            counts[b, sent] += spawned
 
-    truncated = 0
+    live = np.flatnonzero(counts.any(axis=0))
+    counts = counts[:, live]
+    rows = _row_draws(Q, D)
     epoch = 2
-    while counts.any():
-        if epoch > max_epochs:
-            truncated = int(np.count_nonzero(counts.sum(axis=1)))
-            break
-        energy_cnt += counts.sum(axis=1)
+    while live.size and epoch <= max_epochs:
+        energy_cnt[live] += counts.sum(axis=0)
+        delivered = np.zeros(live.size, dtype=np.int64)
         new_counts = np.zeros_like(counts)
-        for a in range(l):
-            n_a = counts[:, a]
-            if not n_a.any():
-                continue
-            for col in range(D.shape[1]):
-                if D[a, col] > 0.0:
-                    delivered = rng.binomial(n_a, D[a, col])
-                    f_cnt += delivered
-                    delay_cnt += delivered * (epoch - 1)
-            for b in range(l):
-                if Q[a, b] > 0.0:
-                    new_counts[:, b] += rng.binomial(n_a, Q[a, b])
-        counts = new_counts
+        for a, (probs, n_deliver, q_rows) in enumerate(rows):
+            drawn = _binomial_rows(rng, counts[a], probs, live.size, limit)
+            for _ in range(n_deliver):
+                delivered += next(drawn)
+            for b, spawned in zip(q_rows, drawn):
+                new_counts[b] += spawned
+        f_cnt[live] += delivered
+        delay_cnt[live] += delivered * (epoch - 1)
+        keep = new_counts.any(axis=0)
+        live = live[keep]
+        counts = new_counts[:, keep]
         epoch += 1
 
     moments = np.array(
@@ -206,7 +245,7 @@ def _simulate_block(
         ],
         dtype=np.int64,
     )
-    return moments, truncated
+    return moments, live.size
 
 
 def simulate(

@@ -157,9 +157,6 @@ class ParetoArchive:
     def members(self) -> tuple[ParetoSolution, ...]:
         return tuple(sorted(self._members, key=lambda s: s.solution_id))
 
-    def criteria_values(self) -> set[tuple[float, ...]]:
-        return {self.senses.values(m.criteria) for m in self._members}
-
     def __len__(self) -> int:
         return len(self._members)
 

@@ -51,11 +51,6 @@ class CriteriaVector:
     f_d: float
     f_e: float
 
-    @property
-    def delay_per_delivery(self) -> float:
-        """Mean relay hops per delivered packet, f_D / f (0 when f = 0)."""
-        return self.f_d / self.f if self.f > 0.0 else 0.0
-
     def to_json_dict(self) -> dict:
         return {"f": self.f, "f_c": self.f_c, "f_d": self.f_d, "f_e": self.f_e}
 

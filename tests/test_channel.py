@@ -14,11 +14,7 @@ from pareto_relay import (
     channel_probability_exact,
     channel_probability_sampled,
     interference_candidates,
-    interference_power,
-    interfering_set_probability,
     packet_success,
-    per,
-    sinr,
 )
 from pareto_relay import RateGrid, enumerate_rate_matrices, topology
 from pareto_relay.errors import EnumerationCapError, SchemaError
@@ -29,6 +25,50 @@ from conftest import injected_channel, line_spec, make_spec, rate_matrix
 # frozen references computed from 0.5*erfc(sqrt(gamma)) at gamma = 1
 BER_AT_1 = 0.07864960352514257
 PER_AT_1_100 = 0.9997229981264794
+
+
+# Reference formulas of the interference model, written out link by link
+# and subset by subset. The library folds them into the subset doubling of
+# channel_probability_exact; the tests below pin them and check the
+# library against them.
+
+
+def per(gamma, packet_bits: int):
+    """Packet error rate 1 - (1 - BER)^N_b for an N_b-bit packet."""
+    if packet_bits < 1:
+        raise ValueError("packet_bits must be >= 1")
+    return 1.0 - packet_success(gamma, packet_bits)
+
+
+def interference_power(spec, sender, receiver, members) -> float:
+    """Total interference power in watts at ``receiver``: sum of P_T * a_kj."""
+    members = tuple(members)
+    if sender in members or receiver in members:
+        raise ValueError("interfering set must exclude both link endpoints")
+    gains = gain_matrix(spec)
+    return float(
+        sum(spec.radio.tx_power * gains[k - 1, receiver - 1] for k in members)
+    )
+
+
+def sinr(spec, sender, receiver, interference) -> float:
+    """SINR of the link: P_T * a_ij / (N_0 + I)."""
+    signal = spec.radio.tx_power * gain_matrix(spec)[sender - 1, receiver - 1]
+    return signal / (spec.radio.noise_power + interference)
+
+
+def interfering_set_probability(members, candidates, slot, tau) -> float:
+    """Probability that exactly ``members`` out of ``candidates`` transmit:
+    tau_k over the members times (1 - tau_m) over the other candidates."""
+    members = set(members)
+    candidates = tuple(candidates)
+    if not members <= set(candidates):
+        raise ValueError("interfering set must be a subset of the candidate pool")
+    p = 1.0
+    for k in candidates:
+        t = tau.rate(k, slot)
+        p *= t if k in members else (1.0 - t)
+    return p
 
 
 def five_node():

@@ -313,6 +313,8 @@ def test_usage_errors_exit_1(workspace, capsys):
         eval_args(workspace, "--tolerance", "nan"),
         eval_args(workspace, "--tolerance", "-1e-9"),
         oracle_args(workspace, "--confidence", "nan"),
+        oracle_args(workspace, "--seed", "-1"),
+        search_args(workspace, out_dir, "--seed", "-1"),
     ):
         assert main(args) == 1, args
         assert capsys.readouterr().err.splitlines()[-1].startswith("error:"), args
@@ -401,13 +403,13 @@ def _strategy_documents() -> dict:
     }
 
 
-@settings(max_examples=100, deadline=None)
-@given(field=st.sampled_from(FUZZ_FIELDS), value=JSON_VALUES)
-def test_evaluate_exit_code_contract(field, value):
-    """Whatever one field of the inputs holds, evaluate exits 0, 1 or 2, and
-    on failure prints exactly one error:/infeasible: line."""
-    name, path = field
+def _fuzzed_documents(field, value) -> dict:
+    """The strategy documents with the field at ``field`` set to ``value``;
+    unchanged when ``field`` is None."""
     docs = _strategy_documents()
+    if field is None:
+        return docs
+    name, path = field
     if path:
         target = docs[name]
         for key in path[:-1]:
@@ -415,17 +417,61 @@ def test_evaluate_exit_code_contract(field, value):
         target[path[-1]] = value
     else:
         docs[name] = value
+    return docs
+
+
+def _run_on_documents(subcommand, docs, *extra) -> tuple[int, list[str]]:
+    """Exit code and stderr lines of ``subcommand`` on the given documents."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        args = ["evaluate"]
+        args = [subcommand]
         for key, doc in docs.items():
             doc_path = Path(tmp) / f"{key}.json"
             doc_path.write_text(json.dumps(doc))
             args += [f"--{key}", str(doc_path)]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(args)
+            code = main(args + list(extra))
+    return code, err.getvalue().splitlines()
+
+
+@settings(max_examples=100, deadline=None)
+@given(field=st.sampled_from(FUZZ_FIELDS), value=JSON_VALUES)
+def test_evaluate_exit_code_contract(field, value):
+    """Whatever one field of the inputs holds, evaluate exits 0, 1 or 2, and
+    on failure prints exactly one error:/infeasible: line."""
+    code, lines = _run_on_documents("evaluate", _fuzzed_documents(field, value))
     assert code in (0, 1, 2)
     if code:
-        lines = err.getvalue().splitlines()
         assert len(lines) == 1, lines
         assert lines[0].startswith(("error:", "infeasible:")), lines
+
+
+# Text for one oracle flag: small and huge integers of either sign, floats
+# with nan and inf, and short arbitrary strings.
+FLAG_TEXT = (
+    st.integers(-3, 3).map(str)
+    | st.integers(-(10**20), 10**20).map(str)
+    | st.floats().map(repr)
+    | st.text(max_size=3)
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    field=st.none() | st.sampled_from(FUZZ_FIELDS),
+    value=JSON_VALUES,
+    flag=st.sampled_from(["--seed", "--max-epochs", "--confidence"]),
+    flag_text=FLAG_TEXT,
+)
+def test_oracle_exit_code_contract(field, value, flag, flag_text):
+    """Whatever one field of the inputs (or none) and one of the oracle's
+    own flags hold, oracle exits 0, 1 or 2, and on failure prints exactly one
+    error:/infeasible: line, last, after at most argparse's usage text."""
+    code, lines = _run_on_documents(
+        "oracle", _fuzzed_documents(field, value), "--packets", "200", flag, flag_text
+    )
+    assert code in (0, 1, 2)
+    if code:
+        verdicts = [line for line in lines if line.startswith(("error:", "infeasible:"))]
+        assert verdicts == lines[-1:], lines
+        assert len(lines) == 1 or lines[0].startswith("usage:"), lines

@@ -32,6 +32,11 @@ def crit(fc, fd, fe, f=None):
     return CriteriaVector(f=fc if f is None else f, f_c=fc, f_d=fd, f_e=fe)
 
 
+def criteria_values(archive) -> set[tuple[float, ...]]:
+    """The members' objective vectors, in the archive's objective order."""
+    return {archive.senses.values(m.criteria) for m in archive}
+
+
 def solution(sid, criteria, spec, tau=None):
     tau = tau or rate_matrix(spec, [[0.0, 0.0]], [[1.0, 0.0]])
     return ParetoSolution(
@@ -124,7 +129,7 @@ def test_archive_keeps_equal_vectors(three_node):
     assert archive.insert(solution("y", crit(0.5, 0.5, 0.5), three_node))
     assert len(archive) == 2
     assert [s.solution_id for s in archive.members] == ["x", "y"]
-    assert archive.criteria_values() == {(0.5, 0.5, 0.5)}
+    assert criteria_values(archive) == {(0.5, 0.5, 0.5)}
 
 
 def test_archive_check_non_dominated(three_node):
@@ -205,7 +210,7 @@ def test_search_counters_and_determinism(three_node):
     assert a.n_pruned == 0
     assert a.n_evaluated == len(a.evaluated)
     assert [s.solution_id for s in a.archive] == [s.solution_id for s in b.archive]
-    assert a.archive.criteria_values() == b.archive.criteria_values()
+    assert criteria_values(a.archive) == criteria_values(b.archive)
     for s in a.archive:
         assert re.fullmatch(r"\d{6}-\d{4}", s.solution_id)
 
@@ -235,7 +240,7 @@ def test_search_rerun_is_deterministic(three_node):
     assert [s.solution_id for s in first.archive] == [
         s.solution_id for s in second.archive
     ]
-    assert first.archive.criteria_values() == second.archive.criteria_values()
+    assert criteria_values(first.archive) == criteria_values(second.archive)
     assert (first.n_tau, first.n_infeasible, first.n_pruned, first.n_evaluated) == (
         second.n_tau,
         second.n_infeasible,
