@@ -158,7 +158,8 @@ def channel_probability_sampled(
 
 
 class ChannelMatrix:
-    """Per-edge, per-slot success probabilities; diagonal entries are absent."""
+    """Per-edge, per-slot success probabilities: ``probs[i - 1, j - 1, u - 1]``
+    is p_ij^u. A node has no link to itself, so the diagonal must be 0."""
 
     def __init__(self, n_nodes: int, slot_count: int, probs: np.ndarray):
         probs = np.asarray(probs, dtype=float)
@@ -168,6 +169,8 @@ class ChannelMatrix:
             )
         if not np.all((probs >= 0.0) & (probs <= 1.0)):
             raise SchemaError("channel probabilities must lie in [0, 1]")
+        if np.any(np.diagonal(probs)):
+            raise SchemaError("channel probabilities from a node to itself must be 0")
         self.n_nodes = n_nodes
         self.slot_count = slot_count
         self.probs = probs
@@ -235,7 +238,7 @@ def channel_matrix(
     slots = spec.slot_count
     probs = np.zeros((n, n, slots))
     for u in range(1, slots + 1):
-        column = np.array([tau.rate(i, u) for i in range(1, n + 1)])
+        column = tau.rates[:, u - 1]
         key = (u, column.tobytes(), config)
         cached = cache.get(key)
         if cached is not None:

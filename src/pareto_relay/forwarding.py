@@ -29,7 +29,7 @@ from .errors import (
     ModelViolationError,
     SchemaError,
 )
-from .rates import DEFAULT_TOLERANCE, RateMatrix, active_set, relay_transmission_index
+from .rates import DEFAULT_TOLERANCE, RateMatrix, relay_transmission_index
 from .topology import NetworkSpec, read_object, sparse_entries
 
 MAX_REJECTION_ATTEMPTS = 200
@@ -144,16 +144,15 @@ def feeder_terms(
     another node with a usable channel; coefficient multiplies the matching
     x entry. Zero-coefficient terms are dropped since their x is irrelevant.
     """
-    t_out = tau.rate(forwarder, out_slot)
-    listen = 1.0 - t_out
-    terms = []
-    for sender, in_slot in sorted(active_set(tau).transmissions):
-        if sender == forwarder:
-            continue
-        coeff = tau.rate(sender, in_slot) * P.p(sender, forwarder, in_slot) * listen
-        if coeff > 0.0:
-            terms.append((sender, in_slot, coeff))
-    return terms
+    rows, slots = tau.active_coords
+    listen = 1.0 - tau.rate(forwarder, out_slot)
+    # The channel's diagonal is 0, so the forwarder's own transmissions drop out.
+    coeffs = tau.rates[rows, slots] * P.probs[rows, forwarder - 1, slots] * listen
+    return [
+        (i + 1, u + 1, c)
+        for i, u, c in zip(rows.tolist(), slots.tolist(), coeffs.tolist())
+        if c > 0.0
+    ]
 
 
 def consistency_residuals(
@@ -165,18 +164,15 @@ def consistency_residuals(
     """Residual (incoming forwarded flow) - tau_j^v for every active relay
     transmission. X is feasible for tau iff all residuals vanish within
     the tolerance."""
-    act = active_set(tau)
-    residuals: dict[tuple[int, int], float] = {}
-    for j, v in relay_transmission_index(tau):
-        t_out = tau.rate(j, v)
-        inflow = 0.0
-        for i, u in act.transmissions:
-            if i == j:
-                continue
-            inflow += (
-                tau.rate(i, u) * P.p(i, j, u) * (1.0 - t_out) * X.x(i, j, u, v)
-            )
-        residuals[(j, v)] = inflow - t_out
+    i, u = (c[:, None] for c in tau.active_coords)
+    j, v = tau.relay_coords
+    t_out = tau.rates[j, v]
+    # One row per active transmission (i, u), one column per (j, v); the
+    # channel's diagonal is 0, so i == j adds nothing.
+    inflow = (
+        tau.rates[i, u] * P.probs[i, j, u] * (1.0 - t_out) * X.values[i, j, u, v]
+    ).sum(axis=0)
+    residuals = dict(zip(relay_transmission_index(tau), (inflow - t_out).tolist()))
     return ConsistencyReport(residuals, tolerance)
 
 

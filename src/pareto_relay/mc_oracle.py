@@ -30,7 +30,7 @@ from .rates import (
     check_half_duplex,
     relay_transmission_index,
 )
-from .steady_state import build_arrival_matrix, build_relaying_matrix
+from .steady_state import build_arrival_matrix, build_relaying_matrix, check_layout
 from .topology import NetworkSpec
 
 DEFAULT_BLOCK_SIZE = 65_536
@@ -125,23 +125,22 @@ def _injections(
     spec: NetworkSpec,
     relay_index: tuple[tuple[int, int], ...],
 ):
-    """Per (source, slot): transmission rate, per-(relay,slot) spawn
-    probabilities, and per-destination direct-delivery probabilities."""
-    out = []
-    for s_row, S in enumerate(spec.source_ids):
-        for u in range(1, spec.slot_count + 1):
-            t_src = float(tau.source_rates[s_row, u - 1])
-            if t_src == 0.0:
-                continue
-            spawn = np.array(
-                [
-                    P.p(S, j, u) * (1.0 - tau.rate(j, v)) * X.x(S, j, u, v)
-                    for (j, v) in relay_index
-                ]
-            )
-            direct = np.array([P.p(S, d, u) for d in spec.destination_ids])
-            out.append((t_src, spawn, direct))
-    return out
+    """Per (source, slot) with a positive rate, in that order: transmission
+    rate, spawn probabilities p_Sj^u * (1 - tau_j^v) * x_Sj^{uv} per entry
+    (j, v) of ``relay_index``, and direct-delivery probabilities per
+    destination."""
+    j, v = np.array(relay_index, dtype=int).reshape(-1, 2).T - 1
+    S = np.array(spec.source_ids)[:, None, None] - 1
+    u = np.arange(spec.slot_count)[:, None]
+    # Indexed (source, slot, column).
+    spawn = P.probs[S, j, u] * (1.0 - tau.rates[j, v]) * X.values[S, j, u, v]
+    direct = P.probs[S, np.array(spec.destination_ids) - 1, u]
+    return [
+        (t_src, spawn[k, w], direct[k, w])
+        for k, row in enumerate(tau.source_rates.tolist())
+        for w, t_src in enumerate(row)
+        if t_src != 0.0
+    ]
 
 
 def _row_draws(Q: np.ndarray, D: np.ndarray):
@@ -262,6 +261,7 @@ def simulate(
     runs the branching process in fixed-size blocks. Deterministic per
     seed and independent of ``config.threads``.
     """
+    check_layout(tau, X, spec, channel)
     if channel is None:
         channel = channel_matrix(tau, spec)
     check_forwarder_roles(X, tau)

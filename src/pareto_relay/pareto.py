@@ -188,21 +188,12 @@ def tau_flow_rate(tau: RateMatrix, P: ChannelMatrix) -> float:
     exactly tau_j^v, so deliveries reduce to direct source arrivals plus
     tau-weighted relay arrivals regardless of how X splits the feeders.
     """
-    n = P.n_nodes
     transmitters = set(tau.transmitter_ids)
-    destinations = [d for d in range(1, n + 1) if d not in transmitters]
-    total = 0.0
-    for s in tau.source_ids:
-        row = tau.row(s)
-        for u in range(1, tau.slot_count + 1):
-            if row[u - 1] > 0.0:
-                total += row[u - 1] * sum(P.p(s, d, u) for d in destinations)
-    for j in tau.relay_ids:
-        row = tau.row(j)
-        for v in range(1, tau.slot_count + 1):
-            if row[v - 1] > 0.0:
-                total += row[v - 1] * sum(P.p(j, d, v) for d in destinations)
-    return total
+    reach = sum(P.probs[:, d] for d in range(P.n_nodes) if d + 1 not in transmitters)
+    senders = np.array(tau.source_ids + tau.relay_ids) - 1
+    # Sources first, then relays, each row slot by slot: a cumulative sum
+    # adds in exactly that order, and idle slots add +0.0.
+    return float(np.cumsum((tau.rates * reach)[senders])[-1])
 
 
 def tau_energy_rate(tau: RateMatrix) -> float:

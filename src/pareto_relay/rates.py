@@ -9,6 +9,7 @@ half duplex (reception plus own transmission cannot exceed one slot).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from math import comb, isfinite
 from typing import Iterator
@@ -54,76 +55,85 @@ class RateGrid:
 
 
 class RateMatrix:
-    """Per-node, per-slot transmission rates for relays and sources.
+    """Per-node, per-slot transmission rates tau_i^u.
 
-    Relay rows are indexed by ``relay_ids`` order, source rows by
-    ``source_ids`` order. Slots are 1-based in the API, matching the frame.
+    ``rates`` is one read-only ``(n_nodes, slot_count)`` array: row ``i - 1``
+    is node ``i`` and column ``u - 1`` is slot ``u``; destination rows are 0.
+    ``relay_rates`` and ``source_rates`` are its relay and source rows, in
+    ``relay_ids`` and ``source_ids`` order. Slots are 1-based in the API,
+    matching the frame. ``active_coords`` holds the 0-based (rows, columns)
+    of every positive rate, sorted by node then slot; ``relay_coords`` holds
+    those of the relays, the order of Q's rows and of the forwarding
+    constraints.
     """
 
-    def __init__(self, relay_ids, source_ids, slot_count, relay_rates, source_rates):
-        relay_rates = np.asarray(relay_rates, dtype=float)
-        source_rates = np.asarray(source_rates, dtype=float)
-        if relay_rates.shape != (len(relay_ids), slot_count):
-            raise SchemaError(
-                f"relay rates must have shape ({len(relay_ids)}, {slot_count}),"
-                f" got {relay_rates.shape}"
-            )
-        if source_rates.shape != (len(source_ids), slot_count):
-            raise SchemaError(
-                f"source rates must have shape ({len(source_ids)}, {slot_count}),"
-                f" got {source_rates.shape}"
-            )
-        for name, arr in (("relay", relay_rates), ("source", source_rates)):
-            if not np.all((arr >= 0.0) & (arr <= 1.0)):
-                raise SchemaError(f"{name} rates must lie in [0, 1]")
-        self.relay_ids = tuple(relay_ids)
-        self.source_ids = tuple(source_ids)
-        self.slot_count = int(slot_count)
-        self.relay_rates = relay_rates
-        self.source_rates = source_rates
-        self.relay_rates.setflags(write=False)
-        self.source_rates.setflags(write=False)
-        self._row_of = {i: ("relay", k) for k, i in enumerate(self.relay_ids)}
-        self._row_of.update({i: ("source", k) for k, i in enumerate(self.source_ids)})
-        self._active = _build_active_set(self)
-        relays = set(self.relay_ids)
-        self._relay_index = tuple(
-            pair for pair in sorted(self._active.transmissions) if pair[0] in relays
-        )
+    def __init__(self, spec: NetworkSpec, relay_rates, source_rates):
+        self.relay_ids = spec.relay_ids
+        self.source_ids = spec.source_ids
+        self.slot_count = spec.slot_count
+        self._relay_rows = np.array(self.relay_ids, dtype=int) - 1
+        self._source_rows = np.array(self.source_ids, dtype=int) - 1
+        rates = np.zeros((spec.n_nodes, self.slot_count))
+        for name, rows, given in (
+            ("relay", self._relay_rows, relay_rates),
+            ("source", self._source_rows, source_rates),
+        ):
+            given = np.asarray(given, dtype=float)
+            if given.shape != (len(rows), self.slot_count):
+                raise SchemaError(
+                    f"{name} rates must have shape ({len(rows)}, {self.slot_count}),"
+                    f" got {given.shape}"
+                )
+            rates[rows] = given
+        if not np.all((rates >= 0.0) & (rates <= 1.0)):
+            raise SchemaError("relay and source rates must lie in [0, 1]")
+        rates.setflags(write=False)
+        self.rates = rates
+
+    @cached_property
+    def active_coords(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.nonzero(self.rates > 0.0)
+
+    @cached_property
+    def relay_coords(self) -> tuple[np.ndarray, np.ndarray]:
+        positive = self.rates > 0.0
+        positive[self._source_rows] = False  # destination rows are 0 already
+        return np.nonzero(positive)
+
+    @cached_property
+    def _active(self) -> "ActiveSet":
+        pairs = _one_based(self.active_coords)
+        by_slot = {
+            u: tuple(i for i, w in pairs if w == u) for u in range(1, self.slot_count + 1)
+        }
+        return ActiveSet(transmissions=frozenset(pairs), by_slot=by_slot)
+
+    @cached_property
+    def _relay_index(self) -> tuple[tuple[int, int], ...]:
+        return _one_based(self.relay_coords)
 
     @classmethod
     def for_network(cls, spec: NetworkSpec, relay_rates, source_rates) -> "RateMatrix":
-        return cls(spec.relay_ids, spec.source_ids, spec.slot_count, relay_rates, source_rates)
+        return cls(spec, relay_rates, source_rates)
+
+    @property
+    def relay_rates(self) -> np.ndarray:
+        return self.rates[self._relay_rows]
+
+    @property
+    def source_rates(self) -> np.ndarray:
+        return self.rates[self._source_rows]
 
     def rate(self, node_id: int, slot: int) -> float:
         """Rate of node ``node_id`` in 1-based ``slot``; 0 for destinations."""
-        loc = self._row_of.get(node_id)
-        if loc is None:
-            return 0.0
-        kind, k = loc
-        arr = self.relay_rates if kind == "relay" else self.source_rates
-        return float(arr[k, slot - 1])
+        return float(self.rates[node_id - 1, slot - 1])
 
     def row(self, node_id: int) -> np.ndarray:
-        loc = self._row_of.get(node_id)
-        if loc is None:
-            return np.zeros(self.slot_count)
-        kind, k = loc
-        return (self.relay_rates if kind == "relay" else self.source_rates)[k]
+        return self.rates[node_id - 1]
 
     @property
     def transmitter_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.relay_ids + self.source_ids))
-
-    def validate_grid(self, grid: RateGrid) -> None:
-        """Every relay entry must be a grid member (sources are free inputs)."""
-        for k, i in enumerate(self.relay_ids):
-            for u in range(self.slot_count):
-                if self.relay_rates[k, u] not in grid:
-                    raise GridError(
-                        f"relay {i} slot {u + 1}: rate {self.relay_rates[k, u]!r}"
-                        " is not on the grid"
-                    )
 
     def to_json_dict(self) -> dict:
         return {
@@ -147,8 +157,7 @@ class RateMatrix:
             isinstance(other, RateMatrix)
             and self.relay_ids == other.relay_ids
             and self.source_ids == other.source_ids
-            and np.array_equal(self.relay_rates, other.relay_rates)
-            and np.array_equal(self.source_rates, other.source_rates)
+            and np.array_equal(self.rates, other.rates)
         )
 
     def __repr__(self) -> str:
@@ -175,6 +184,11 @@ class ActiveSet:
         return pair in self.transmissions
 
 
+def _one_based(coords) -> tuple[tuple[int, int], ...]:
+    rows, slots = coords
+    return tuple(zip((rows + 1).tolist(), (slots + 1).tolist()))
+
+
 def active_set(tau: RateMatrix) -> ActiveSet:
     """The active set of ``tau``, computed once when the matrix is built."""
     return tau._active
@@ -186,33 +200,17 @@ def relay_transmission_index(tau: RateMatrix) -> tuple[tuple[int, int], ...]:
     return tau._relay_index
 
 
-def _build_active_set(tau: RateMatrix) -> ActiveSet:
-    pairs = set()
-    for i in tau.transmitter_ids:
-        row = tau.row(i)
-        for u in range(tau.slot_count):
-            if row[u] > 0.0:
-                pairs.add((i, u + 1))
-    by_slot = {
-        u: tuple(sorted(i for (i, v) in pairs if v == u))
-        for u in range(1, tau.slot_count + 1)
-    }
-    return ActiveSet(transmissions=frozenset(pairs), by_slot=by_slot)
+def incoming_rates(tau: RateMatrix, channel) -> np.ndarray:
+    """Average symbol arrival rate at every node, per slot: row ``j - 1``
+    holds sum_i tau_i^u * p_ij^u over all transmitters i != j."""
+    # The channel's diagonal is 0, and idle or destination rows add +0.0;
+    # the sum runs over the senders in id order.
+    return (tau.rates[:, None, :] * channel.probs).sum(axis=0)
 
 
 def incoming_rate(j: int, tau: RateMatrix, channel) -> tuple[np.ndarray, float]:
-    """Average symbol arrival rate at node ``j``: per slot and total.
-
-    The per-slot rate is sum_i tau_i^u * p_ij^u over all transmitters i != j.
-    """
-    per_slot = np.zeros(tau.slot_count)
-    for i in tau.transmitter_ids:
-        if i == j:
-            continue
-        row = tau.row(i)
-        for u in range(tau.slot_count):
-            if row[u] > 0.0:
-                per_slot[u] += row[u] * channel.p(i, j, u + 1)
+    """Average symbol arrival rate at node ``j``: per slot and total."""
+    per_slot = incoming_rates(tau, channel)[j - 1]
     return per_slot, float(per_slot.sum())
 
 
@@ -247,10 +245,11 @@ def check_flow_conservation(
 ) -> FlowConservationReport:
     """Flow conservation per relay. Sources originate traffic and are exempt;
     destinations never transmit."""
+    inflow = incoming_rates(tau, channel)
     entries = {}
     for j in tau.relay_ids:
         out = outgoing_rate(j, tau)
-        _, inn = incoming_rate(j, tau, channel)
+        inn = float(inflow[j - 1].sum())
         entries[j] = (out, inn, out <= inn + tol)
     return FlowConservationReport(entries=entries)
 
@@ -283,13 +282,13 @@ def check_half_duplex(
     With several feeders in one slot the incoming rate can exceed 1 and the
     constraint genuinely fails; failures are reported, never assumed away.
     """
-    entries = {}
-    for j in tau.relay_ids:
-        per_slot, _ = incoming_rate(j, tau, channel)
-        row = tau.row(j)
-        for u in range(tau.slot_count):
-            lhs = per_slot[u] * (1.0 - row[u]) + row[u]
-            entries[(j, u + 1)] = (float(lhs), lhs <= 1.0 + tol)
+    rows = tau.relay_rates
+    lhs = incoming_rates(tau, channel)[tau._relay_rows] * (1.0 - rows) + rows
+    entries = {
+        (j, u + 1): (x, x <= 1.0 + tol)
+        for j, row in zip(tau.relay_ids, lhs.tolist())
+        for u, x in enumerate(row)
+    }
     return HalfDuplexReport(entries=entries)
 
 

@@ -95,14 +95,14 @@ def build_relaying_matrix(
     """Q[(i,u),(j,v)] = p_ij^u * (1 - tau_j^v) * x_ij^{uv} over the active
     relay transmissions; zero on same-node pairs. Entries must stay < 1."""
     index = relay_transmission_index(tau)
-    l = len(index)
-    Q = np.zeros((l, l))
-    for a, (i, u) in enumerate(index):
-        for b, (j, v) in enumerate(index):
-            if i == j:
-                continue
-            Q[a, b] = P.p(i, j, u) * (1.0 - tau.rate(j, v)) * X.x(i, j, u, v)
-    if l and np.max(Q) >= 1.0:
+    i, u = tau.relay_coords
+    # Rows (i, u) and columns (j, v) run over the same transmissions; the
+    # channel's diagonal is 0, so Q is 0 on same-node pairs.
+    Q = (
+        P.probs[i[:, None], i, u[:, None]] * (1.0 - tau.rates[i, u])
+        * X.values[i[:, None], i, u[:, None], u]
+    )
+    if Q.size and np.max(Q) >= 1.0:
         a, b = np.unravel_index(int(np.argmax(Q)), Q.shape)
         raise ModelViolationError(
             f"relaying probability from {index[a]} to {index[b]} reaches "
@@ -118,14 +118,11 @@ def build_arrival_matrix(
 ) -> np.ndarray:
     """D[(i,u),(d,w)] = p_id^u when w = u, else 0: a transmission reaches a
     destination only in its own slot."""
-    index = relay_transmission_index(tau)
-    arrivals = destination_slot_index(spec)
-    D = np.zeros((len(index), len(arrivals)))
-    for a, (i, u) in enumerate(index):
-        for b, (d, w) in enumerate(arrivals):
-            if w == u:
-                D[a, b] = P.p(i, d, u)
-    return D
+    i, u = tau.relay_coords
+    dests = np.array(spec.destination_ids) - 1
+    D = np.zeros((len(i), len(dests), spec.slot_count))
+    D[np.arange(len(i)), :, u] = P.probs[i[:, None], dests, u[:, None]]
+    return D.reshape(len(i), len(dests) * spec.slot_count)
 
 
 def build_initial_flow(
@@ -141,27 +138,21 @@ def build_initial_flow(
     direct component (d,u): tau_S^u * p_Sd^u.
     """
     source_rates = np.asarray(source_rates, dtype=float)
-    index = relay_transmission_index(tau)
-    arrivals = destination_slot_index(spec)
-    sources = spec.source_ids
+    sources = np.array(spec.source_ids) - 1
     if source_rates.shape != (len(sources), spec.slot_count):
         raise SchemaError(
             f"source rates must have shape ({len(sources)}, {spec.slot_count})"
         )
-    F1 = np.zeros((len(sources), len(index) + len(arrivals)))
-    for s_row, S in enumerate(sources):
-        for u in range(1, spec.slot_count + 1):
-            t_src = source_rates[s_row, u - 1]
-            if t_src == 0.0:
-                continue
-            for b, (j, v) in enumerate(index):
-                F1[s_row, b] += (
-                    t_src * P.p(S, j, u) * (1.0 - tau.rate(j, v)) * X.x(S, j, u, v)
-                )
-            for b, (d, w) in enumerate(arrivals):
-                if w == u:
-                    F1[s_row, len(index) + b] = t_src * P.p(S, d, u)
-    return F1
+    j, v = tau.relay_coords
+    S, u = sources[:, None], np.arange(spec.slot_count)[:, None, None]
+    # Axis 0 is the in-slot u; a cumulative sum adds the slots in order.
+    relay = np.add.accumulate(
+        source_rates.T[:, :, None] * P.probs[S, j, u] * (1.0 - tau.rates[j, v])
+        * X.values[S, j, u, v]
+    )[-1]
+    dests = np.array(spec.destination_ids) - 1
+    direct = source_rates[:, None, :] * P.probs[S, dests]
+    return np.concatenate([relay, direct.reshape(len(sources), -1)], axis=1)
 
 
 def spectral_radius(Q: np.ndarray) -> float:
@@ -287,6 +278,27 @@ def _cut_set_guard(
         )
 
 
+def check_layout(
+    tau: RateMatrix,
+    X: ForwardingMatrix,
+    spec: NetworkSpec,
+    channel: ChannelMatrix | None = None,
+) -> None:
+    """Raise :class:`SchemaError` unless tau, X and the channel (when given)
+    are laid out for ``spec``'s nodes and slots."""
+    n, slots = spec.n_nodes, spec.slot_count
+    if (
+        tau.rates.shape != (n, slots)
+        or tau.relay_ids != spec.relay_ids
+        or tau.source_ids != spec.source_ids
+    ):
+        raise SchemaError("rate matrix layout does not match the network")
+    if X.values.shape != (n, n, slots, slots):
+        raise SchemaError("forwarding matrix shape does not match the network")
+    if channel is not None and channel.probs.shape != (n, n, slots):
+        raise SchemaError("channel matrix shape does not match the network")
+
+
 def evaluate(
     tau: RateMatrix,
     X: ForwardingMatrix,
@@ -300,10 +312,7 @@ def evaluate(
     ``channel`` overrides the computed interference-aware probabilities,
     which lets callers evaluate a prescribed link model.
     """
-    if X.n_nodes != spec.n_nodes or X.slot_count != spec.slot_count:
-        raise SchemaError("forwarding matrix shape does not match the network")
-    if tau.slot_count != spec.slot_count or tau.relay_ids != spec.relay_ids:
-        raise SchemaError("rate matrix layout does not match the network")
+    check_layout(tau, X, spec, channel)
     if channel is None:
         channel = channel_matrix(tau, spec)
 

@@ -97,10 +97,6 @@ class SlotFrame:
         if int(self.slot_count) != self.slot_count or self.slot_count < 1:
             raise SchemaError("frame.slots must be an integer >= 1")
 
-    @property
-    def slots(self) -> range:
-        return range(1, self.slot_count + 1)
-
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -152,15 +148,15 @@ class NetworkSpec:
     def ids_with_role(self, role: Role) -> tuple[int, ...]:
         return tuple(n.id for n in sorted(self.nodes, key=lambda n: n.id) if n.role == role)
 
-    @property
+    @cached_property
     def source_ids(self) -> tuple[int, ...]:
         return self.ids_with_role(Role.SOURCE)
 
-    @property
+    @cached_property
     def relay_ids(self) -> tuple[int, ...]:
         return self.ids_with_role(Role.RELAY)
 
-    @property
+    @cached_property
     def destination_ids(self) -> tuple[int, ...]:
         return self.ids_with_role(Role.DESTINATION)
 

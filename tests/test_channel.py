@@ -413,6 +413,10 @@ def test_channel_matrix_validates_range():
         ChannelMatrix(2, 1, np.full((2, 2, 1), 1.5))
     with pytest.raises(SchemaError):
         ChannelMatrix(2, 1, np.zeros((2, 2, 2)))
+    self_link = np.zeros((3, 3, 2))
+    self_link[0, 0, 0] = 0.7
+    with pytest.raises(SchemaError):
+        ChannelMatrix.from_dense(self_link)
 
 
 def test_channel_matrix_json_round_trip():

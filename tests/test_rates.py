@@ -48,15 +48,6 @@ def test_rate_matrix_shape_validation(three_node):
         rate_matrix(three_node, [[0.0, 0.4, 0.1]], [[1.0, 0.0]])
 
 
-def test_grid_membership_checked_on_relay_rows(three_node):
-    grid = RateGrid.parse("0,0.5,1")
-    tau = rate_matrix(three_node, [[0.0, 0.5]], [[0.7, 0.0]])
-    tau.validate_grid(grid)  # source rows are free inputs
-    bad = rate_matrix(three_node, [[0.0, 0.4]], [[1.0, 0.0]])
-    with pytest.raises(GridError):
-        bad.validate_grid(grid)
-
-
 def test_active_set_empty(three_node):
     tau = rate_matrix(three_node, [[0.0, 0.0]], [[0.0, 0.0]])
     assert len(active_set(tau)) == 0

@@ -7,10 +7,12 @@ from hypothesis.extra import numpy as hnp
 from pareto_relay import (
     CriteriaVector,
     ForwardingMatrix,
+    SimConfig,
     build_transition_system,
     evaluate,
     fundamental_matrix,
     sample_feasible_forwarding,
+    simulate,
     solve_chain_closed_form,
     spectral_radius,
 )
@@ -374,6 +376,32 @@ def test_evaluate_rejects_shape_mismatch():
     spec, tau, P, X = single_relay_setup()
     with pytest.raises(SchemaError):
         evaluate(tau, ForwardingMatrix.zeros(4, 2), spec, channel=P)
+
+
+def _wrong_layouts():
+    spec, tau, P, X = single_relay_setup()
+    wide = make_spec(
+        [(1, "source", 0, 0), (2, "relay", 1, 0), (3, "destination", 2, 0),
+         (4, "destination", 2, 1)]
+    )
+    return spec, {
+        "tau": (rate_matrix(wide, [[0.0, 0.4]], [[1.0, 0.0]]), X, P),
+        "X": (tau, ForwardingMatrix.zeros(4, 2), P),
+        "wider channel": (tau, X, injected_channel(4, 2, {(1, 2, 1): 0.8})),
+        "narrower channel": (tau, X, injected_channel(2, 2, {(1, 2, 1): 0.8})),
+    }
+
+
+@pytest.mark.parametrize("wrong", ["tau", "X", "wider channel", "narrower channel"])
+@pytest.mark.parametrize("entry", ["evaluate", "simulate"])
+def test_layout_mismatch_is_a_schema_error(entry, wrong):
+    spec, layouts = _wrong_layouts()
+    tau, X, P = layouts[wrong]
+    with pytest.raises(SchemaError, match="does not match the network"):
+        if entry == "evaluate":
+            evaluate(tau, X, spec, channel=P)
+        else:
+            simulate(tau, X, spec, SimConfig(n_packets=100, seed=0), channel=P)
 
 
 def test_evaluate_detects_divergent_cascade():
