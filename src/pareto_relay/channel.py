@@ -4,7 +4,9 @@ The probability p_ij^u that a packet sent by i in slot u is received at j
 is the average of the packet success rate over every subset of the other
 transmitters active in that slot, weighted by the probability that exactly
 that subset transmits concurrently. Interference is additive noise; the
-packet success rate comes from an uncoded BPSK/AWGN bit error rate.
+packet success rate comes from an uncoded BPSK/AWGN bit error rate. The
+links of a slot share their interferer pools, so ``channel_matrix`` computes
+a slot one pool at a time, with one ``np.dot`` per link.
 """
 
 from __future__ import annotations
@@ -59,32 +61,34 @@ def interference_candidates(
     return tuple(k for k in act.in_slot(slot) if k not in (sender, receiver))
 
 
-def _subset_average(
-    signal: float, noise: float, gains: np.ndarray, taus: np.ndarray, packet_bits: int
-) -> float:
-    # Enumerates all 2^m interferer subsets by iterative doubling; the
-    # subset probabilities telescope to exactly 1.
-    interf = np.zeros(1)
-    prob = np.ones(1)
-    for g, t in zip(gains, taus):
-        interf = np.concatenate([interf, interf + g])
-        prob = np.concatenate([prob * (1.0 - t), prob * t])
-    gamma = signal / (noise + interf)
-    return float(np.dot(prob, packet_success(gamma, packet_bits)))
+# The links of a pool of m interferers are taken in blocks of rows, so that
+# no 2-D array holds more than max(2^m, this) elements: one link at a time
+# from m = 16 on, as a per-link loop would hold them.
+_BLOCK_ELEMENTS = 1 << 16
 
 
-def _link_inputs(
-    spec: NetworkSpec, tau: RateMatrix, sender: int, receiver: int, slot: int
-) -> tuple[float, np.ndarray, np.ndarray]:
-    # Signal power, and each candidate interferer's power and rate at the
-    # receiver.
-    candidates = interference_candidates(tau, sender, receiver, slot)
-    gains = gain_matrix(spec)
-    p_t = spec.radio.tx_power
-    signal = p_t * gains[sender - 1, receiver - 1]
-    int_gains = np.array([p_t * gains[k - 1, receiver - 1] for k in candidates])
-    int_taus = np.array([tau.rate(k, slot) for k in candidates])
-    return signal, int_gains, int_taus
+def _pool_average(
+    spec: NetworkSpec, column: np.ndarray, pool: list[int], links: list[tuple[int, int]]
+) -> list[float]:
+    # p of each 0-based link (sender, receiver) whose interferers are the
+    # ascending 0-based ``pool``, at the slot's rates ``column``: all 2^m
+    # subsets by doubling, one row per link.
+    power = spec.radio.tx_power * gain_matrix(spec)
+    rows = max(1, _BLOCK_ELEMENTS >> len(pool))
+    out = []
+    for start in range(0, len(links), rows):
+        senders, receivers = np.array(links[start:start + rows]).T
+        signal = power[senders, receivers]
+        interf = np.zeros((len(receivers), 1))
+        prob = np.ones(1)
+        for g, t in zip(power[np.ix_(pool, receivers)], column[pool]):
+            interf = np.concatenate([interf, interf + g[:, None]], axis=1)
+            prob = np.concatenate([prob * (1.0 - t), prob * t])
+        success = packet_success(
+            signal[:, None] / (spec.radio.noise_power + interf), spec.radio.packet_bits
+        )
+        out += [float(np.dot(prob, row)) for row in success]
+    return out
 
 
 def channel_probability_exact(
@@ -100,15 +104,14 @@ def channel_probability_exact(
     Raises :class:`EnumerationCapError` when the candidate pool exceeds
     ``cap``; use :func:`channel_probability_sampled` then.
     """
-    signal, int_gains, int_taus = _link_inputs(spec, tau, sender, receiver, slot)
-    if len(int_taus) > cap:
+    pool = interference_candidates(tau, sender, receiver, slot)
+    if len(pool) > cap:
         raise EnumerationCapError(
-            f"{len(int_taus)} candidate interferers on link ({sender},{receiver})"
+            f"{len(pool)} candidate interferers on link ({sender},{receiver})"
             f" slot {slot} exceed the exact-enumeration cap {cap}"
         )
-    return _subset_average(
-        signal, spec.radio.noise_power, int_gains, int_taus, spec.radio.packet_bits
-    )
+    links = [(sender - 1, receiver - 1)]
+    return _pool_average(spec, tau.rates[:, slot - 1], [k - 1 for k in pool], links)[0]
 
 
 def channel_probability_sampled(
@@ -128,7 +131,9 @@ def channel_probability_sampled(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    signal, int_gains, int_taus = _link_inputs(spec, tau, sender, receiver, slot)
+    pool = [k - 1 for k in interference_candidates(tau, sender, receiver, slot)]
+    power = spec.radio.tx_power * gain_matrix(spec)[:, receiver - 1]
+    signal, int_gains, int_taus = power[sender - 1], power[pool], tau.rates[pool, slot - 1]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
     total = 0.0
@@ -144,7 +149,6 @@ def channel_probability_sampled(
             interf = np.zeros(n)
         succ = packet_success(signal / (spec.radio.noise_power + interf),
                               spec.radio.packet_bits)
-        succ = np.atleast_1d(succ)
         total += float(succ.sum())
         total_sq += float(np.dot(succ, succ))
         remaining -= n
@@ -219,8 +223,11 @@ def channel_matrix(
 ) -> ChannelMatrix:
     """Assemble p_ij^u for every ordered node pair and slot.
 
-    Uses exact enumeration while the candidate pool stays within the cap and
-    falls back to the seeded sampled estimate beyond it.
+    Link (i, j) of slot u draws its interferers from the pool A minus {i, j}
+    of the slot's active set A. A pool within ``config.exact_cap`` is
+    enumerated once for all its links, as one 2-D array, with one ``np.dot``
+    per link: a matrix-vector product would sum in another order and change
+    the last bits. The links of a larger pool take the seeded sampled estimate.
 
     The slice of slot u depends only on the geometry, on column u of tau
     (every node's rate in slot u) and on ``config``. Each slice is looked up
@@ -240,22 +247,25 @@ def channel_matrix(
     for u in range(1, slots + 1):
         column = tau.rates[:, u - 1]
         key = (u, column.tobytes(), config)
-        cached = cache.get(key)
-        if cached is not None:
-            probs[:, :, u - 1] = cached
+        if key in cache:
+            probs[:, :, u - 1] = cache[key]
             continue
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                try:
-                    p = channel_probability_exact(spec, tau, i, j, u, config.exact_cap)
-                except EnumerationCapError:
-                    p, _ = channel_probability_sampled(
-                        spec, tau, i, j, u, config.samples,
-                        seed=_link_seed(config.seed, i, j, u),
-                    )
-                probs[i - 1, j - 1, u - 1] = p
+        active = np.flatnonzero(column > 0.0).tolist()
+        idle = [k for k in range(n) if k not in active]
+        # (endpoints dropped from A, links): both idle, one active, both active.
+        groups = [((), [(i, j) for i in idle for j in idle if i != j])]
+        groups += [((a,), [(a, j) for j in idle] + [(i, a) for i in idle]) for a in active]
+        groups += [((a, b), [(a, b), (b, a)]) for a in active for b in active if a < b]
+        for dropped, links in groups:
+            pool = [k for k in active if k not in dropped]
+            if len(pool) <= config.exact_cap:
+                values = _pool_average(spec, column, pool, links)
+            else:
+                values = [channel_probability_sampled(
+                    spec, tau, i + 1, j + 1, u, config.samples,
+                    seed=_link_seed(config.seed, i + 1, j + 1, u))[0] for i, j in links]
+            for (i, j), p in zip(links, values):
+                probs[i, j, u - 1] = p
         cache[key] = probs[:, :, u - 1].copy()
     return ChannelMatrix(n, slots, probs)
 

@@ -16,6 +16,7 @@ point, so the samples are not uniform on such a constraint.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +136,26 @@ def check_forwarder_roles(X: ForwardingMatrix, tau: RateMatrix) -> None:
         )
 
 
+def _feeder_columns(
+    tau: RateMatrix, P: ChannelMatrix, constraints: Iterable[tuple[int, int]]
+) -> Iterator[list[tuple[int, int, float]]]:
+    # The terms of each constraint (forwarder j, out-slot v) in turn, from
+    # one gather of the channel from every active transmission (i, u) to
+    # every node. Each coefficient is (tau_i^u * p_ij^u) * (1 - tau_j^v); the
+    # channel's diagonal is 0, so a forwarder's own transmissions drop out.
+    rows, slots = tau.active_coords
+    rates = tau.rates.tolist()
+    senders = [(i + 1, u + 1, rates[i][u]) for i, u in zip(rows.tolist(), slots.tolist())]
+    channel = P.probs[rows, :, slots].T.tolist()
+    for j, v in constraints:
+        listen = 1.0 - rates[j - 1][v - 1]
+        yield [
+            (i, u, c)
+            for (i, u, t), p in zip(senders, channel[j - 1])
+            if (c := t * p * listen) > 0.0
+        ]
+
+
 def feeder_terms(
     tau: RateMatrix, P: ChannelMatrix, forwarder: int, out_slot: int
 ) -> list[tuple[int, int, float]]:
@@ -144,15 +165,7 @@ def feeder_terms(
     another node with a usable channel; coefficient multiplies the matching
     x entry. Zero-coefficient terms are dropped since their x is irrelevant.
     """
-    rows, slots = tau.active_coords
-    listen = 1.0 - tau.rate(forwarder, out_slot)
-    # The channel's diagonal is 0, so the forwarder's own transmissions drop out.
-    coeffs = tau.rates[rows, slots] * P.probs[rows, forwarder - 1, slots] * listen
-    return [
-        (i + 1, u + 1, c)
-        for i, u, c in zip(rows.tolist(), slots.tolist(), coeffs.tolist())
-        if c > 0.0
-    ]
+    return next(_feeder_columns(tau, P, [(forwarder, out_slot)]))
 
 
 def consistency_residuals(
@@ -189,9 +202,9 @@ def solve_chain_closed_form(
     all, or demands x outside [0, 1].
     """
     values = np.zeros((spec.n_nodes, spec.n_nodes, spec.slot_count, spec.slot_count))
-    for j, v in relay_transmission_index(tau):
+    index = relay_transmission_index(tau)
+    for (j, v), terms in zip(index, _feeder_columns(tau, P, index)):
         t_out = tau.rate(j, v)
-        terms = feeder_terms(tau, P, j, v)
         if not terms:
             raise InfeasibleTauError(
                 f"relay {j} transmits in slot {v} but receives no flow"
@@ -238,16 +251,17 @@ def sample_feasible_forwarding(
     if count < 1:
         raise ValueError("count must be >= 1")
     constraints = []
-    for j, v in relay_transmission_index(tau):
+    index = relay_transmission_index(tau)
+    for (j, v), terms in zip(index, _feeder_columns(tau, P, index)):
         t_out = tau.rate(j, v)
-        terms = feeder_terms(tau, P, j, v)
         total = sum(c for _, _, c in terms)
         if not terms or total + tolerance < t_out:
             raise InfeasibleTauError(
                 f"relay {j} in slot {v} needs inflow {t_out:.6g} but at most "
                 f"{total:.6g} is reachable even at full forwarding"
             )
-        constraints.append((j, v, t_out, terms, total))
+        coeffs = np.array([c for _, _, c in terms])
+        constraints.append((j, v, t_out, terms, total, coeffs))
 
     out = []
     for k in range(count):
@@ -257,8 +271,7 @@ def sample_feasible_forwarding(
         values = np.zeros(
             (spec.n_nodes, spec.n_nodes, spec.slot_count, spec.slot_count)
         )
-        for j, v, t_out, terms, total in constraints:
-            coeffs = np.array([c for _, _, c in terms])
+        for j, v, t_out, terms, total, coeffs in constraints:
             alpha = np.ones(len(terms))
             state = rng.bit_generator.state
             candidates = (

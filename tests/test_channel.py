@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from pareto_relay import (
     packet_success,
 )
 from pareto_relay import RateGrid, enumerate_rate_matrices, topology
+from pareto_relay.channel import _link_seed
 from pareto_relay.errors import EnumerationCapError, SchemaError
 from pareto_relay.topology import gain_matrix
 
@@ -425,3 +427,144 @@ def test_channel_matrix_json_round_trip():
     assert all(link["i"] != link["j"] for link in doc["links"])
     again = ChannelMatrix.from_json(json.dumps(doc), 3, 2)
     assert np.array_equal(again.probs, P.probs)
+
+
+# The per-link loop that channel_matrix ran before it took a slot one
+# interferer pool at a time: every ordered pair is its own subset doubling
+# and its own np.dot, and a pool above the cap takes the sampled estimate.
+# The slice kernel must match it bit for bit.
+
+
+def _link_probability_reference(spec, tau, sender, receiver, slot):
+    pool = interference_candidates(tau, sender, receiver, slot)
+    gains = gain_matrix(spec)
+    p_t = spec.radio.tx_power
+    signal = p_t * gains[sender - 1, receiver - 1]
+    interf = np.zeros(1)
+    prob = np.ones(1)
+    for k in pool:
+        g, t = p_t * gains[k - 1, receiver - 1], tau.rate(k, slot)
+        interf = np.concatenate([interf, interf + g])
+        prob = np.concatenate([prob * (1.0 - t), prob * t])
+    gamma = signal / (spec.radio.noise_power + interf)
+    return float(np.dot(prob, packet_success(gamma, spec.radio.packet_bits)))
+
+
+def _channel_matrix_reference(tau, spec, config=ChannelConfig()):
+    n, slots = spec.n_nodes, spec.slot_count
+    probs = np.zeros((n, n, slots))
+    for u in range(1, slots + 1):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                if len(interference_candidates(tau, i, j, u)) <= config.exact_cap:
+                    p = _link_probability_reference(spec, tau, i, j, u)
+                else:
+                    p, _ = channel_probability_sampled(
+                        spec, tau, i, j, u, config.samples,
+                        seed=_link_seed(config.seed, i, j, u),
+                    )
+                probs[i - 1, j - 1, u - 1] = p
+    return probs
+
+
+def _wide_strategy(seed):
+    """One source, 12 relays and one destination on seeded positions, three
+    slots: the source sends at rate 1 in slot 1, and each relay is active
+    with probability 0.6 in one random slot of {2, 3} at rate 0.05, 0.1 or
+    0.15. No gate is checked: the channel does not need one."""
+    rng = np.random.default_rng([seed, 1])
+    nodes = [(1, "source", 0.0, 0.0)]
+    nodes += [
+        (k, "relay", rng.uniform(0.6, 1.6), rng.uniform(-1.2, 1.2)) for k in range(2, 14)
+    ]
+    nodes.append((14, "destination", 2.2, 0.0))
+    spec = make_spec(nodes, slots=3)
+    relay_rows = np.zeros((12, 3))
+    for row in relay_rows:
+        if rng.random() < 0.6:
+            row[rng.integers(1, 3)] = rng.choice((0.05, 0.1, 0.15))
+    return spec, rate_matrix(spec, relay_rows, [[1.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_channel_matrix_matches_per_link_reference_on_wide_nets(seed):
+    spec, tau = _wide_strategy(seed)
+    got = channel_matrix(tau, spec).probs
+    assert np.array_equal(got, _channel_matrix_reference(tau, spec))
+
+
+def test_channel_matrix_matches_reference_on_empty_and_single_slots():
+    # Slot 1: one transmitter; slot 2: none; slot 3: three.
+    spec = make_spec(
+        [
+            (1, "source", 0, 0),
+            (2, "relay", 1, 0.4),
+            (3, "relay", 1, -0.4),
+            (4, "relay", 2, 0.3),
+            (5, "destination", 3, 0),
+        ],
+        slots=3,
+    )
+    tau = rate_matrix(
+        spec, [[0.0, 0.0, 0.3], [0.0, 0.0, 0.6], [0.0, 0.0, 0.2]], [[1.0, 0.0, 0.5]]
+    )
+    assert np.array_equal(channel_matrix(tau, spec).probs, _channel_matrix_reference(tau, spec))
+
+
+def test_channel_matrix_matches_reference_with_two_sources_and_two_destinations():
+    spec = make_spec(
+        [
+            (1, "source", 0, 0.5),
+            (2, "source", 0, -0.5),
+            (3, "relay", 1, 0.6),
+            (4, "relay", 1.2, -0.3),
+            (5, "relay", 1.8, 0.1),
+            (6, "destination", 2.5, 0.7),
+            (7, "destination", 2.5, -0.7),
+        ],
+    )
+    tau = rate_matrix(
+        spec, [[0.0, 0.4], [0.25, 0.3], [0.0, 0.35]], [[0.8, 0.0], [0.6, 0.1]]
+    )
+    assert np.array_equal(channel_matrix(tau, spec).probs, _channel_matrix_reference(tau, spec))
+
+
+def test_channel_matrix_cap_splits_the_pools_of_one_slice():
+    # Five transmitters in slot 1: pools of 5 (two idle endpoints), 4 (one
+    # active endpoint) and 3 (two). A cap of 4 samples only the first kind.
+    spec, _ = _wide_strategy(0)
+    relay_rows = np.zeros((12, 3))
+    relay_rows[[0, 3, 5, 8], 0] = (0.1, 0.15, 0.05, 0.1)
+    tau = rate_matrix(spec, relay_rows, [[1.0, 0.0, 0.0]])
+    config = ChannelConfig(exact_cap=4, samples=256, seed=3)
+    got = channel_matrix(tau, spec, config).probs
+    assert np.array_equal(got, _channel_matrix_reference(tau, spec, config))
+    exact = channel_matrix(tau, spec).probs
+    off_diagonal = ~np.eye(spec.n_nodes, dtype=bool)
+    same = (got[:, :, 0] == exact[:, :, 0])[off_diagonal]
+    assert same.any() and not same.all()
+
+
+def test_channel_slice_memory_stays_near_one_link():
+    # Sixteen transmitters share the pool of every link between the four idle
+    # nodes; a slice may hold no more at once than about one such link does.
+    nodes = [(1, "source", 0, 0)]
+    nodes += [(k, "relay", 1 + 0.3 * k, (-1) ** k * 0.2 * k) for k in range(2, 20)]
+    nodes.append((20, "destination", 9, 0))
+    spec = make_spec(nodes, slots=1)
+    tau = rate_matrix(spec, [[0.5]] * 15 + [[0.0]] * 3, [[1.0]])
+    assert len(interference_candidates(tau, 17, 20, 1)) == 16
+    gain_matrix(spec)
+
+    tracemalloc.start()
+    try:
+        _link_probability_reference(spec, tau, 17, 20, 1)
+        link_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        channel_matrix(tau, spec)
+        slice_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert slice_peak <= 2 * link_peak, (slice_peak, link_peak)

@@ -390,6 +390,10 @@ FUZZ_FIELDS = [
     ("x", ()), ("x", ("entries",)), ("x", ("entries", 0)), ("x", ("entries", 0, "i")),
     ("x", ("entries", 0, "v")), ("x", ("entries", 0, "x")),
 ]
+SEARCH_FUZZ_FIELDS = [f for f in FUZZ_FIELDS if f[0] == "topology"] + [
+    ("sources", ()), ("sources", ("sources",)), ("sources", ("sources", 0)),
+    ("sources", ("sources", 0, 1)),
+]
 
 
 def _strategy_documents() -> dict:
@@ -400,13 +404,14 @@ def _strategy_documents() -> dict:
         "topology": serialize_network(spec),
         "tau": tau.to_json_dict(),
         "x": X.to_json_dict(),
+        "sources": {"sources": tau.to_json_dict()["sources"]},
     }
 
 
-def _fuzzed_documents(field, value) -> dict:
-    """The strategy documents with the field at ``field`` set to ``value``;
-    unchanged when ``field`` is None."""
-    docs = _strategy_documents()
+def _fuzzed_documents(field, value, names=("topology", "tau", "x")) -> dict:
+    """The strategy documents ``names`` with the field at ``field`` set to
+    ``value``; unchanged when ``field`` is None."""
+    docs = {name: doc for name, doc in _strategy_documents().items() if name in names}
     if field is None:
         return docs
     name, path = field
@@ -475,3 +480,21 @@ def test_oracle_exit_code_contract(field, value, flag, flag_text):
         verdicts = [line for line in lines if line.startswith(("error:", "infeasible:"))]
         assert verdicts == lines[-1:], lines
         assert len(lines) == 1 or lines[0].startswith("usage:"), lines
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=st.none() | st.sampled_from(SEARCH_FUZZ_FIELDS), value=JSON_VALUES)
+def test_search_sources_exit_code_contract(field, value):
+    """Whatever one field of the topology or the --sources document (or
+    none) holds, a tiny search exits 0, 1 or 2, and on failure prints exactly
+    one error:/infeasible: line, last."""
+    docs = _fuzzed_documents(field, value, names=("topology", "sources"))
+    with tempfile.TemporaryDirectory() as out_dir:
+        code, lines = _run_on_documents(
+            "search", docs, "--grid", "0,0.25", "--n-max", "1", "--x-samples", "1",
+            "--output-dir", out_dir,
+        )
+    assert code in (0, 1, 2)
+    if code:
+        verdicts = [line for line in lines if line.startswith(("error:", "infeasible:"))]
+        assert verdicts == lines[-1:], lines
