@@ -4,7 +4,9 @@ The search space is the grid of relay rate matrices (at most ``n_max``
 relays active) crossed with forwarding matrices sampled from each rate
 matrix's feasible family. Candidates stream through feasibility gates,
 an exact prune, and the steady-state evaluation; survivors enter a
-non-dominated archive.
+non-dominated archive. Dominance is one predicate on sign-oriented
+objective rows, each maximized objective negated, which ``dominates``,
+the archive and its invariant check all share.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ _OBJECTIVE_TOKENS = {
     "fd": ("f_d", Sense.MINIMIZE),
     "fe": ("f_e", Sense.MINIMIZE),
 }
+_CRITERIA = tuple(name for name, _ in _OBJECTIVE_TOKENS.values())
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,14 @@ class ObjectiveSense:
             raise SchemaError("objective names and senses must align")
         if len(set(self.names)) != len(self.names):
             raise SchemaError("duplicate objective")
+        for name in self.names:
+            if name not in _CRITERIA:
+                raise SchemaError(
+                    f"unknown objective {name!r}; choose from {', '.join(_CRITERIA)}"
+                )
+        for sense in self.senses:
+            if not isinstance(sense, Sense):
+                raise SchemaError(f"objective sense {sense!r} is not a Sense")
 
     @classmethod
     def default(cls) -> "ObjectiveSense":
@@ -94,21 +105,24 @@ class ObjectiveSense:
     def values(self, criteria: CriteriaVector) -> tuple[float, ...]:
         return tuple(getattr(criteria, name) for name in self.names)
 
+    def oriented(self, criteria: CriteriaVector) -> np.ndarray:
+        """The objective values with each maximized one negated, so that
+        smaller is better on every objective."""
+        signs = [-1.0 if sense is Sense.MAXIMIZE else 1.0 for sense in self.senses]
+        return np.multiply(self.values(criteria), signs)
+
+
+def _dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether oriented rows ``a`` dominate oriented rows ``b``, broadcast
+    over the leading axes: no objective worse and at least one better. A
+    NaN compares neither worse nor better, as in the scalar rule."""
+    return ~np.any(a > b, -1) & np.any(a < b, -1)
+
 
 def dominates(a: CriteriaVector, b: CriteriaVector, senses: ObjectiveSense) -> bool:
     """True iff ``a`` is at least as good as ``b`` on every objective and
     strictly better on at least one. Equal vectors dominate neither way."""
-    strict = False
-    for va, vb, sense in zip(senses.values(a), senses.values(b), senses.senses):
-        if sense is Sense.MAXIMIZE:
-            if va < vb:
-                return False
-            strict = strict or va > vb
-        else:
-            if va > vb:
-                return False
-            strict = strict or va < vb
-    return strict
+    return bool(_dominates(senses.oriented(a), senses.oriented(b)))
 
 
 @dataclass(frozen=True)
@@ -122,39 +136,51 @@ class ParetoSolution:
 
 
 class ParetoArchive:
-    """Set of mutually non-dominated solutions."""
+    """Set of mutually non-dominated solutions under :func:`dominates`.
+
+    Members with equal objective vectors dominate neither way, so all of
+    them are kept. ``_values`` holds the members' oriented objectives, one
+    row per member in insertion order.
+    """
 
     def __init__(self, senses: ObjectiveSense | None = None):
         self.senses = senses or ObjectiveSense.default()
         self._members: list[ParetoSolution] = []
+        self._values = np.empty((0, len(self.senses.names)))
 
     def insert(self, solution: ParetoSolution) -> bool:
-        """Insert unless dominated; evict members the newcomer dominates.
+        """Insert unless a member dominates the newcomer; evict the members
+        it dominates. Survivors keep their order and the newcomer goes last.
         Returns whether the solution was accepted."""
-        for member in self._members:
-            if dominates(member.criteria, solution.criteria, self.senses):
-                return False
-        self._members = [
-            m
-            for m in self._members
-            if not dominates(solution.criteria, m.criteria, self.senses)
-        ]
+        row = self.senses.oriented(solution.criteria)
+        if _dominates(self._values, row).any():
+            return False
+        keep = ~_dominates(row, self._values)
+        self._members = [m for m, k in zip(self._members, keep) if k]
         self._members.append(solution)
+        self._values = np.vstack([self._values[keep], row])
         return True
 
     def check_non_dominated(self) -> None:
         """Raise unless no member dominates another: the invariant that
-        ``insert`` keeps. O(n^2), so callers run it once, not per insert."""
-        for a in self._members:
-            for b in self._members:
-                if a is not b and dominates(a.criteria, b.criteria, self.senses):
-                    raise ParetoRelayError(
-                        f"archive member {a.solution_id} dominates "
-                        f"{b.solution_id}; the front is not non-dominated"
-                    )
+        ``insert`` keeps. The objectives are rebuilt from the members'
+        criteria rather than read from ``_values``. O(n^2) time and memory,
+        so callers run it once, not per insert."""
+        values = np.reshape(
+            [self.senses.oriented(m.criteria) for m in self._members],
+            (len(self._members), len(self.senses.names)),
+        )
+        pairs = np.argwhere(_dominates(values[:, None], values[None, :]))
+        if len(pairs):
+            a, b = (self._members[i] for i in pairs[0])
+            raise ParetoRelayError(
+                f"archive member {a.solution_id} dominates "
+                f"{b.solution_id}; the front is not non-dominated"
+            )
 
     @property
     def members(self) -> tuple[ParetoSolution, ...]:
+        """The front, sorted by solution id."""
         return tuple(sorted(self._members, key=lambda s: s.solution_id))
 
     def __len__(self) -> int:
@@ -252,59 +278,21 @@ def _tau_seed(seed: int, tau_idx: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _candidates_for_tau(
-    tau_idx: int,
-    tau: RateMatrix,
-    spec: NetworkSpec,
-    x_samples: int,
-    seed: int,
-    thresholds: PruneThresholds | None,
-    tolerance: float,
-    slot_cache: dict,
-) -> tuple[str, list[ParetoSolution]]:
-    """Evaluate one rate matrix: returns a status tag and its solutions."""
-    P = channel_matrix(tau, spec, slot_cache=slot_cache)
-    if not check_flow_conservation(tau, P, tolerance).all_ok:
-        return "infeasible", []
-    if not check_half_duplex(tau, P, tolerance).all_ok:
-        return "infeasible", []
-    if not prune_tau(tau, P, thresholds).keep:
-        return "pruned", []
-
+def _forwardings(
+    tau: RateMatrix, P: ChannelMatrix, spec: NetworkSpec, x_samples: int,
+    seed: int, tau_idx: int, tolerance: float,
+) -> list[ForwardingMatrix]:
+    """The forwarding matrices to evaluate for ``tau``: the zero matrix when
+    no relay transmits, else the closed form, else ``x_samples`` draws of
+    the sampler. Raises :class:`InfeasibleError` when tau admits none."""
     if not relay_transmission_index(tau):
-        forwardings = [ForwardingMatrix.zeros(spec.n_nodes, spec.slot_count)]
-    else:
-        try:
-            forwardings = [solve_chain_closed_form(tau, P, spec, tolerance)]
-        except ClosedFormNotApplicableError:
-            try:
-                forwardings = sample_feasible_forwarding(
-                    tau, P, spec, x_samples, _tau_seed(seed, tau_idx), tolerance
-                )
-            except InfeasibleError:
-                return "infeasible", []
-        except InfeasibleError:
-            return "infeasible", []
-
-    solutions = []
-    for x_idx, X in enumerate(forwardings):
-        try:
-            criteria = evaluate(
-                tau, X, spec, channel=P, tolerance=tolerance, check_feasibility=True
-            )
-        except InfeasibleError:
-            continue
-        solutions.append(
-            ParetoSolution(
-                solution_id=f"{tau_idx:06d}-{x_idx:04d}",
-                criteria=criteria,
-                tau=tau,
-                forwarding=X,
-            )
+        return [ForwardingMatrix.zeros(spec.n_nodes, spec.slot_count)]
+    try:
+        return [solve_chain_closed_form(tau, P, spec, tolerance)]
+    except ClosedFormNotApplicableError:
+        return sample_feasible_forwarding(
+            tau, P, spec, x_samples, _tau_seed(seed, tau_idx), tolerance
         )
-    if not solutions:
-        return "infeasible", []
-    return "ok", solutions
 
 
 def exhaustive_search(
@@ -335,22 +323,37 @@ def exhaustive_search(
     slot_cache: dict = {}
     taus = enumerate_rate_matrices(grid, spec, n_max, source_rates=source_rates)
     for tau_idx, tau in enumerate(taus):
-        status, solutions = _candidates_for_tau(
-            tau_idx, tau, spec, x_samples_per_tau, seed, thresholds, tolerance,
-            slot_cache,
-        )
         result.n_tau += 1
-        if status == "infeasible":
+        P = channel_matrix(tau, spec, slot_cache=slot_cache)
+        if not (
+            check_flow_conservation(tau, P, tolerance).all_ok
+            and check_half_duplex(tau, P, tolerance).all_ok
+        ):
             result.n_infeasible += 1
             continue
-        if status == "pruned":
+        if not prune_tau(tau, P, thresholds).keep:
             result.n_pruned += 1
             continue
-        for sol in solutions:
+        try:
+            forwardings = _forwardings(
+                tau, P, spec, x_samples_per_tau, seed, tau_idx, tolerance
+            )
+        except InfeasibleError:
+            result.n_infeasible += 1
+            continue
+        n_before = result.n_evaluated
+        for x_idx, X in enumerate(forwardings):
+            try:
+                criteria = evaluate(tau, X, spec, channel=P, tolerance=tolerance)
+            except InfeasibleError:
+                continue
+            sol = ParetoSolution(f"{tau_idx:06d}-{x_idx:04d}", criteria, tau, X)
             result.n_evaluated += 1
             result.archive.insert(sol)
             if collect_evaluated:
                 result.evaluated.append(sol)
+        if result.n_evaluated == n_before:
+            result.n_infeasible += 1
     result.archive.check_non_dominated()
     result.channel_slices = len(slot_cache)
     return result

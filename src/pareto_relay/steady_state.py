@@ -202,32 +202,19 @@ def delay_identity_gap(Q: np.ndarray, M_F: np.ndarray) -> float:
     return float(np.max(np.abs(M2 - (M_F + Q @ M2))))
 
 
-def _split_rows(F1: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
-    F1 = np.atleast_2d(np.asarray(F1, dtype=float))
-    return F1[:, :l], F1[:, l:]
-
-
-def criterion_flow(
-    F1: np.ndarray, M_F: np.ndarray, D: np.ndarray
-) -> tuple[float, float]:
-    """Expected deliveries per injected packet (copies counted) and its
-    capped capacity reading. Rows of F1 (one per source) superpose."""
-    relay, direct = _split_rows(F1, M_F.shape[0])
-    f = float(np.sum(relay @ M_F @ D) + np.sum(direct))
-    return f, min(1.0, f)
-
-
-def criterion_delay(F1: np.ndarray, M_F: np.ndarray, D: np.ndarray) -> float:
-    """Delay mass: each delivery weighted by the relay transmissions on its
-    path. Direct source-to-destination deliveries contribute zero."""
-    relay, _ = _split_rows(F1, M_F.shape[0])
-    return float(np.sum(relay @ M_F @ M_F @ D))
-
-
-def criterion_energy(F1: np.ndarray, M_F: np.ndarray) -> float:
-    """Expected relay transmissions per injected packet."""
-    relay, _ = _split_rows(F1, M_F.shape[0])
-    return float(np.sum(relay @ M_F))
+def criteria(F1: np.ndarray, M_F: np.ndarray, D: np.ndarray) -> CriteriaVector:
+    """The four criteria from the initial flow, the fundamental matrix and
+    the arrival matrix. Rows of F1 (one per source) superpose. f counts
+    copies and adds the direct source deliveries; f_C caps it at 1; f_D
+    weights each delivery by the relay transmissions on its path, so
+    direct deliveries add nothing; f_E counts relay transmissions."""
+    l = M_F.shape[0]
+    visits = F1[:, :l] @ M_F
+    f = float(np.sum(visits @ D) + np.sum(F1[:, l:]))
+    return CriteriaVector(
+        f=f, f_c=min(1.0, f), f_d=float(np.sum(visits @ M_F @ D)),
+        f_e=float(np.sum(visits)),
+    )
 
 
 def build_transition_system(
@@ -331,9 +318,7 @@ def evaluate(
             f"the linear solve is unreliable"
         )
 
-    f, f_c = criterion_flow(ts.F1, M_F, ts.D)
-    f_d = criterion_delay(ts.F1, M_F, ts.D)
-    f_e = criterion_energy(ts.F1, M_F)
+    crit = criteria(ts.F1, M_F, ts.D)
     if check_feasibility:
-        _cut_set_guard(tau, channel, spec, f, tolerance)
-    return CriteriaVector(f=f, f_c=f_c, f_d=f_d, f_e=f_e)
+        _cut_set_guard(tau, channel, spec, crit.f, tolerance)
+    return crit

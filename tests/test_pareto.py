@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -68,6 +69,18 @@ def test_objective_parsing():
         ObjectiveSense.parse("")
 
 
+def test_objective_sense_rejects_unknown_name():
+    with pytest.raises(SchemaError, match="unknown objective 'f_x'"):
+        ObjectiveSense(("f_c", "f_x"), (Sense.MAXIMIZE, Sense.MINIMIZE))
+
+
+def test_objective_sense_rejects_sense_that_is_not_a_member():
+    # "max" is Sense.MAXIMIZE's value, not the member; taking it would
+    # silently minimize f_c.
+    with pytest.raises(SchemaError, match="not a Sense"):
+        ObjectiveSense(("f_c",), ("max",))
+
+
 def test_dominates_examples():
     senses = ObjectiveSense.default()
     better = crit(0.9, 0.5, 0.3)
@@ -105,6 +118,76 @@ def test_dominance_is_a_strict_partial_order(a, b, c):
         assert not dominates(cb, ca, senses)  # asymmetric
         if dominates(cb, cc, senses):
             assert dominates(ca, cc, senses)  # transitive
+
+
+def dominates_reference(a, b, senses) -> bool:
+    """The scalar rule, one objective at a time with a branch per sense."""
+    strict = False
+    for va, vb, sense in zip(senses.values(a), senses.values(b), senses.senses):
+        if sense is Sense.MAXIMIZE:
+            if va < vb:
+                return False
+            strict = strict or va > vb
+        else:
+            if va > vb:
+                return False
+            strict = strict or va < vb
+    return strict
+
+
+class ReferenceArchive:
+    """The pairwise-loop archive: reject when a member dominates the
+    newcomer, else drop the members it dominates and append it."""
+
+    def __init__(self, senses):
+        self.senses = senses
+        self.members = []
+
+    def insert(self, solution) -> bool:
+        for member in self.members:
+            if dominates_reference(member.criteria, solution.criteria, self.senses):
+                return False
+        self.members = [
+            m
+            for m in self.members
+            if not dominates_reference(solution.criteria, m.criteria, self.senses)
+        ]
+        self.members.append(solution)
+        return True
+
+
+@st.composite
+def objective_senses(draw):
+    names = draw(st.permutations(["f", "f_c", "f_d", "f_e"]))
+    k = draw(st.integers(1, 4))
+    senses = draw(st.lists(st.sampled_from(Sense), min_size=k, max_size=k))
+    return ObjectiveSense(tuple(names[:k]), tuple(senses))
+
+
+# Few values, so that ties and equal vectors are common; 0.0 and -0.0
+# compare equal, and NaN compares neither way.
+TIE_VALUES = st.sampled_from([0.0, -0.0, 0.5, 1.0, float("nan")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    senses=objective_senses(),
+    vectors=st.lists(st.tuples(*[TIE_VALUES] * 4), max_size=30),
+)
+def test_archive_matches_pairwise_reference(senses, vectors):
+    spec = line_spec(slots=2)
+    archive, reference = ParetoArchive(senses), ReferenceArchive(senses)
+    for k, values in enumerate(vectors):
+        sol = solution(f"{k:04d}", CriteriaVector(*values), spec)
+        assert archive.insert(sol) == reference.insert(sol)
+    assert [m.solution_id for m in archive._members] == [
+        m.solution_id for m in reference.members
+    ]
+    archive.check_non_dominated()
+    for a in vectors[:5]:
+        for b in vectors[:5]:
+            ca, cb = CriteriaVector(*a), CriteriaVector(*b)
+            assert dominates(ca, cb, senses) == dominates_reference(ca, cb, senses)
 
 
 def test_archive_insert_and_evict(three_node):
@@ -301,10 +384,9 @@ def test_search_multi_feeder_uses_sampled_forwarding():
         assert again.as_tuple() == pytest.approx(s.criteria.as_tuple(), abs=1e-12)
 
 
-def test_search_counts_channel_slices():
-    # The benchmark's search-interference network: 169 rate matrices share
-    # 21 distinct (slot, column) pairs.
-    spec = make_spec(
+def fork_spec():
+    """The benchmark's 5-node, 3-slot line-and-fork network."""
+    return make_spec(
         [
             (1, "source", 0, 0),
             (2, "relay", 1, 0.5),
@@ -314,6 +396,12 @@ def test_search_counts_channel_slices():
         ],
         slots=3,
     )
+
+
+def test_search_counts_channel_slices():
+    # The benchmark's search-interference network: 169 rate matrices share
+    # 21 distinct (slot, column) pairs.
+    spec = fork_spec()
     grid = RateGrid.parse("0,0.25")
     result = exhaustive_search(spec, grid, n_max=2, x_samples_per_tau=1, seed=0)
     columns = {
@@ -324,3 +412,43 @@ def test_search_counts_channel_slices():
     assert result.n_tau == 169
     assert result.channel_slices == len(columns) == 21
     assert result.n_tau * spec.slot_count - result.channel_slices == 486
+
+
+def front_digest(result) -> str:
+    """sha256 over the front as front.csv writes it (id and criteria to 12
+    significant digits), then the search's four counts."""
+    lines = [
+        ",".join([s.solution_id] + [f"{v:.12g}" for v in s.criteria.as_tuple()])
+        for s in result.archive.members
+    ]
+    lines.append(
+        f"{result.n_tau},{result.n_infeasible},{result.n_pruned},{result.n_evaluated}"
+    )
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "grid, n_max, x_samples, objectives, front_size, digest",
+    [
+        # The anchor search: 2107 rate matrices, 2980 candidates evaluated.
+        (
+            "0,0.25,0.5", 2, 5, "fc,fd,fe", 162,
+            "a9e2735210825389c584212c3232231b6b89ff733b717cca96aad9c106cf59fa",
+        ),
+        # The benchmark-size search under the robustness reading.
+        (
+            "0,0.25", 2, 1, "f,fe", 13,
+            "b84e3cb22256e84974bdce2baae772010b2c2be65a188617b0476937b6e33fe2",
+        ),
+    ],
+)
+def test_search_front_digest_is_pinned(
+    grid, n_max, x_samples, objectives, front_size, digest
+):
+    result = exhaustive_search(
+        fork_spec(), RateGrid.parse(grid), n_max=n_max,
+        x_samples_per_tau=x_samples, seed=0,
+        senses=ObjectiveSense.parse(objectives),
+    )
+    assert len(result.archive) == front_size
+    assert front_digest(result) == digest

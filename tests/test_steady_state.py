@@ -30,9 +30,7 @@ from pareto_relay.steady_state import (
     build_arrival_matrix,
     build_initial_flow,
     build_relaying_matrix,
-    criterion_delay,
-    criterion_energy,
-    criterion_flow,
+    criteria,
     delay_identity_gap,
     destination_slot_index,
     relay_transmission_index,
@@ -460,9 +458,18 @@ def test_criterion_helpers_agree_with_evaluate():
     spec, tau, P, X = two_relay_chain_setup()
     ts = build_transition_system(tau, X, P, spec)
     M = fundamental_matrix(ts.Q)
-    f, f_c = criterion_flow(ts.F1, M, ts.D)
-    crit = evaluate(tau, X, spec, channel=P)
-    assert f == pytest.approx(crit.f, abs=1e-15)
-    assert f_c == pytest.approx(crit.f_c, abs=1e-15)
-    assert criterion_delay(ts.F1, M, ts.D) == pytest.approx(crit.f_d, abs=1e-15)
-    assert criterion_energy(ts.F1, M) == pytest.approx(crit.f_e, abs=1e-15)
+    assert criteria(ts.F1, M, ts.D) == evaluate(tau, X, spec, channel=P)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_criteria_keeps_left_to_right_products(seed):
+    # The relay part of F1 meets M_F first, then D, as the formulas read;
+    # on these inputs another association moves the last bits of f_D.
+    rng = np.random.default_rng(seed)
+    F1, M, D = rng.random((2, 15)), rng.random((12, 12)) / 12, rng.random((12, 3))
+    relay, direct = F1[:, :12], F1[:, 12:]
+    f = float(np.sum(relay @ M @ D) + np.sum(direct))
+    assert criteria(F1, M, D) == CriteriaVector(
+        f=f, f_c=min(1.0, f), f_d=float(np.sum(relay @ M @ M @ D)),
+        f_e=float(np.sum(relay @ M)),
+    )
