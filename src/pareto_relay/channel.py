@@ -11,8 +11,6 @@ a slot one pool at a time, with one ``np.dot`` per link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import erfc
 
@@ -20,16 +18,12 @@ from .errors import EnumerationCapError, SchemaError
 from .rates import RateMatrix, active_set
 from .topology import NetworkSpec, gain_matrix, read_object, sparse_entries
 
-DEFAULT_EXACT_CAP = 20
-
-
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Controls the exact/sampled switchover for the interfering-set average."""
-
-    exact_cap: int = DEFAULT_EXACT_CAP
-    samples: int = 100_000
-    seed: int = 0
+# A pool of at most EXACT_CAP interferers is averaged exactly over its 2^m
+# subsets; each link of a larger pool takes SAMPLES draws, from a per-link
+# seed derived from SAMPLE_SEED.
+EXACT_CAP = 20
+SAMPLES = 100_000
+SAMPLE_SEED = 0
 
 
 def ber_bpsk_awgn(gamma):
@@ -97,18 +91,17 @@ def channel_probability_exact(
     sender: int,
     receiver: int,
     slot: int,
-    cap: int = DEFAULT_EXACT_CAP,
 ) -> float:
     """p_ij^u by exact enumeration of every interfering set.
 
     Raises :class:`EnumerationCapError` when the candidate pool exceeds
-    ``cap``; use :func:`channel_probability_sampled` then.
+    ``EXACT_CAP``; use :func:`channel_probability_sampled` then.
     """
     pool = interference_candidates(tau, sender, receiver, slot)
-    if len(pool) > cap:
+    if len(pool) > EXACT_CAP:
         raise EnumerationCapError(
             f"{len(pool)} candidate interferers on link ({sender},{receiver})"
-            f" slot {slot} exceed the exact-enumeration cap {cap}"
+            f" slot {slot} exceed the exact-enumeration cap {EXACT_CAP}"
         )
     links = [(sender - 1, receiver - 1)]
     return _pool_average(spec, tau.rates[:, slot - 1], [k - 1 for k in pool], links)[0]
@@ -217,36 +210,32 @@ class ChannelMatrix:
 def channel_matrix(
     tau: RateMatrix,
     spec: NetworkSpec,
-    config: ChannelConfig | None = None,
     *,
     slot_cache: dict | None = None,
 ) -> ChannelMatrix:
     """Assemble p_ij^u for every ordered node pair and slot.
 
     Link (i, j) of slot u draws its interferers from the pool A minus {i, j}
-    of the slot's active set A. A pool within ``config.exact_cap`` is
-    enumerated once for all its links, as one 2-D array, with one ``np.dot``
-    per link: a matrix-vector product would sum in another order and change
-    the last bits. The links of a larger pool take the seeded sampled estimate.
+    of the slot's active set A. A pool within ``EXACT_CAP`` is enumerated
+    once for all its links, as one 2-D array, with one ``np.dot`` per link:
+    a matrix-vector product would sum in another order and change the last
+    bits. The links of a larger pool take the seeded sampled estimate.
 
-    The slice of slot u depends only on the geometry, on column u of tau
-    (every node's rate in slot u) and on ``config``. Each slice is looked up
-    in ``slot_cache`` under ``(u, column bytes, config)`` and computed and
-    stored only on a miss, so a cached result is the same array a fresh call
-    returns; without a given cache a fresh one serves this call alone. ``u``
-    stays in the key because the sampled fallback seeds each link by its
-    slot. A cache belongs to one ``NetworkSpec``: its keys do not name the
-    geometry.
+    The slice of slot u depends only on the geometry and on column u of tau
+    (every node's rate in slot u). Each slice is looked up in ``slot_cache``
+    under ``(u, column bytes)`` and computed and stored only on a miss, so a
+    cached result is the same array a fresh call returns; without a given
+    cache a fresh one serves this call alone. ``u`` stays in the key because
+    the sampled fallback seeds each link by its slot. A cache belongs to one
+    ``NetworkSpec``: its keys do not name the geometry.
     """
-    if config is None:
-        config = ChannelConfig()
     cache = {} if slot_cache is None else slot_cache
     n = spec.n_nodes
     slots = spec.slot_count
     probs = np.zeros((n, n, slots))
     for u in range(1, slots + 1):
         column = tau.rates[:, u - 1]
-        key = (u, column.tobytes(), config)
+        key = (u, column.tobytes())
         if key in cache:
             probs[:, :, u - 1] = cache[key]
             continue
@@ -258,12 +247,12 @@ def channel_matrix(
         groups += [((a, b), [(a, b), (b, a)]) for a in active for b in active if a < b]
         for dropped, links in groups:
             pool = [k for k in active if k not in dropped]
-            if len(pool) <= config.exact_cap:
+            if len(pool) <= EXACT_CAP:
                 values = _pool_average(spec, column, pool, links)
             else:
                 values = [channel_probability_sampled(
-                    spec, tau, i + 1, j + 1, u, config.samples,
-                    seed=_link_seed(config.seed, i + 1, j + 1, u))[0] for i, j in links]
+                    spec, tau, i + 1, j + 1, u, SAMPLES,
+                    seed=_link_seed(SAMPLE_SEED, i + 1, j + 1, u))[0] for i, j in links]
             for (i, j), p in zip(links, values):
                 probs[i, j, u - 1] = p
         cache[key] = probs[:, :, u - 1].copy()

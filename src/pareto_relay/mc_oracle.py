@@ -28,28 +28,24 @@ from .rates import (
     RateMatrix,
     check_flow_conservation,
     check_half_duplex,
-    relay_transmission_index,
 )
 from .steady_state import build_arrival_matrix, build_relaying_matrix, check_layout
 from .topology import NetworkSpec
 
-DEFAULT_BLOCK_SIZE = 65_536
+# The random-draw granularity: every block of BLOCK_SIZE trials owns an
+# independent generator derived from (seed, block index), so results are
+# identical no matter how blocks are scheduled across threads.
+BLOCK_SIZE = 65_536
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation budget and reproducibility knobs.
-
-    ``block_size`` fixes the random-draw granularity: every block owns an
-    independent generator derived from (seed, block index), so results are
-    identical no matter how blocks are scheduled across threads.
-    """
+    """Simulation budget and reproducibility knobs."""
 
     n_packets: int
     seed: int
     max_epochs: int = 10_000
     confidence: float = 0.99
-    block_size: int = DEFAULT_BLOCK_SIZE
     threads: int = 1
 
     def __post_init__(self):
@@ -61,8 +57,6 @@ class SimConfig:
             raise ValueError("max_epochs must be >= 1")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie strictly between 0 and 1")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -123,13 +117,12 @@ def _injections(
     X: ForwardingMatrix,
     P: ChannelMatrix,
     spec: NetworkSpec,
-    relay_index: tuple[tuple[int, int], ...],
 ):
     """Per (source, slot) with a positive rate, in that order: transmission
-    rate, spawn probabilities p_Sj^u * (1 - tau_j^v) * x_Sj^{uv} per entry
-    (j, v) of ``relay_index``, and direct-delivery probabilities per
-    destination."""
-    j, v = np.array(relay_index, dtype=int).reshape(-1, 2).T - 1
+    rate, spawn probabilities p_Sj^u * (1 - tau_j^v) * x_Sj^{uv} per active
+    relay transmission (j, v) in ``tau.relay_coords`` order, and
+    direct-delivery probabilities per destination."""
+    j, v = tau.relay_coords
     S = np.array(spec.source_ids)[:, None, None] - 1
     u = np.arange(spec.slot_count)[:, None]
     # Indexed (source, slot, column).
@@ -258,8 +251,8 @@ def simulate(
     """Estimate f, f_D and f_E from ``config.n_packets`` independent trials.
 
     Applies the same feasibility gates as the analytic evaluation, then
-    runs the branching process in fixed-size blocks. Deterministic per
-    seed and independent of ``config.threads``.
+    runs the branching process in blocks of ``BLOCK_SIZE`` trials.
+    Deterministic per seed and independent of ``config.threads``.
     """
     check_layout(tau, X, spec, channel)
     if channel is None:
@@ -269,17 +262,13 @@ def simulate(
     check_half_duplex(tau, channel, tolerance).raise_if_failed()
     consistency_residuals(X, tau, channel, tolerance).raise_if_inconsistent()
 
-    relay_index = relay_transmission_index(tau)
     Q = build_relaying_matrix(X, tau, channel)
     D = build_arrival_matrix(tau, channel, spec)
-    injections = _injections(tau, X, channel, spec, relay_index)
+    injections = _injections(tau, X, channel, spec)
 
     n = config.n_packets
-    n_blocks = (n + config.block_size - 1) // config.block_size
-    block_args = [
-        (b, min(config.block_size, n - b * config.block_size))
-        for b in range(n_blocks)
-    ]
+    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
+    block_args = [(b, min(BLOCK_SIZE, n - b * BLOCK_SIZE)) for b in range(n_blocks)]
 
     def run(arg):
         b, size = arg

@@ -208,17 +208,6 @@ def incoming_rates(tau: RateMatrix, channel) -> np.ndarray:
     return (tau.rates[:, None, :] * channel.probs).sum(axis=0)
 
 
-def incoming_rate(j: int, tau: RateMatrix, channel) -> tuple[np.ndarray, float]:
-    """Average symbol arrival rate at node ``j``: per slot and total."""
-    per_slot = incoming_rates(tau, channel)[j - 1]
-    return per_slot, float(per_slot.sum())
-
-
-def outgoing_rate(j: int, tau: RateMatrix) -> float:
-    """Total transmission rate of node ``j`` over all slots."""
-    return float(tau.row(j).sum())
-
-
 @dataclass(frozen=True)
 class FlowConservationReport:
     """Per-relay verdicts: outgoing rate may not exceed incoming rate."""
@@ -245,12 +234,12 @@ def check_flow_conservation(
 ) -> FlowConservationReport:
     """Flow conservation per relay. Sources originate traffic and are exempt;
     destinations never transmit."""
-    inflow = incoming_rates(tau, channel)
-    entries = {}
-    for j in tau.relay_ids:
-        out = outgoing_rate(j, tau)
-        inn = float(inflow[j - 1].sum())
-        entries[j] = (out, inn, out <= inn + tol)
+    outflow = tau.relay_rates.sum(axis=1).tolist()
+    inflow = incoming_rates(tau, channel)[tau._relay_rows].sum(axis=1).tolist()
+    entries = {
+        j: (out, inn, out <= inn + tol)
+        for j, out, inn in zip(tau.relay_ids, outflow, inflow)
+    }
     return FlowConservationReport(entries=entries)
 
 
@@ -313,11 +302,8 @@ def enumerate_rate_matrices(
     stream is deterministic: active-relay count ascending, then relay subset
     order, then row-value product order.
     """
+    _check_n_max(spec, n_max)
     relays = spec.relay_ids
-    if n_max > len(relays):
-        raise GridError(f"n_max={n_max} exceeds the number of relays ({len(relays)})")
-    if n_max < 0:
-        raise GridError("n_max must be >= 0")
     slots = spec.slot_count
     if source_rates is None:
         source_rates = default_source_rates(spec)
@@ -332,7 +318,18 @@ def enumerate_rate_matrices(
 
 
 def count_rate_matrices(grid: RateGrid, spec: NetworkSpec, n_max: int) -> int:
-    """Closed-form size of the stream from :func:`enumerate_rate_matrices`."""
+    """Closed-form size of the stream from :func:`enumerate_rate_matrices`;
+    raises the same :class:`GridError` for an ``n_max`` it rejects."""
+    _check_n_max(spec, n_max)
     n = len(spec.relay_ids)
     nonzero = len(grid) ** spec.slot_count - 1
-    return sum(comb(n, k) * nonzero**k for k in range(min(n_max, n) + 1))
+    return sum(comb(n, k) * nonzero**k for k in range(n_max + 1))
+
+
+def _check_n_max(spec: NetworkSpec, n_max: int) -> None:
+    if n_max > len(spec.relay_ids):
+        raise GridError(
+            f"n_max={n_max} exceeds the number of relays ({len(spec.relay_ids)})"
+        )
+    if n_max < 0:
+        raise GridError("n_max must be >= 0")

@@ -292,7 +292,6 @@ def evaluate(
     spec: NetworkSpec,
     channel: ChannelMatrix | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
-    check_feasibility: bool = True,
 ) -> CriteriaVector:
     """Full pipeline: channel, feasibility gates, transition system, criteria.
 
@@ -303,11 +302,10 @@ def evaluate(
     if channel is None:
         channel = channel_matrix(tau, spec)
 
-    if check_feasibility:
-        check_forwarder_roles(X, tau)
-        check_flow_conservation(tau, channel, tolerance).raise_if_failed()
-        check_half_duplex(tau, channel, tolerance).raise_if_failed()
-        consistency_residuals(X, tau, channel, tolerance).raise_if_inconsistent()
+    check_forwarder_roles(X, tau)
+    check_flow_conservation(tau, channel, tolerance).raise_if_failed()
+    check_half_duplex(tau, channel, tolerance).raise_if_failed()
+    consistency_residuals(X, tau, channel, tolerance).raise_if_inconsistent()
 
     ts = build_transition_system(tau, X, channel, spec)
     M_F = fundamental_matrix(ts.Q)
@@ -319,6 +317,5 @@ def evaluate(
         )
 
     crit = criteria(ts.F1, M_F, ts.D)
-    if check_feasibility:
-        _cut_set_guard(tau, channel, spec, crit.f, tolerance)
+    _cut_set_guard(tau, channel, spec, crit.f, tolerance)
     return crit

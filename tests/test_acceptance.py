@@ -33,6 +33,7 @@ from pareto_relay import (
     solve_chain_closed_form,
     SimConfig,
 )
+from pareto_relay import channel
 from pareto_relay.cli import main as cli_main
 from pareto_relay.steady_state import delay_identity_gap
 from pareto_relay.topology import gain_matrix
@@ -189,10 +190,11 @@ def interfering_set_probability(members, candidates, slot, tau) -> float:
     return p
 
 
-def test_criterion_5_interfering_set_normalization(capsys):
+def test_criterion_5_interfering_set_normalization(capsys, monkeypatch):
     # Interfering-set probabilities must partition unity, and the exact
     # channel probability must match a from-scratch subset enumeration
     # that never touches the production averaging code.
+    monkeypatch.setattr(channel, "EXACT_CAP", 12)
     with criterion(capsys, 5) as outcome:
         rng = np.random.default_rng(777)
         worst_norm = 0.0
@@ -234,7 +236,7 @@ def test_criterion_5_interfering_set_normalization(capsys):
                     ber = 0.5 * erfc(np.sqrt(gamma))
                     total_success += w * (1.0 - ber) ** radio.packet_bits
             worst_norm = max(worst_norm, abs(total_prob - 1.0))
-            exact = channel_probability_exact(spec, tau, sender, receiver, 1, cap=12)
+            exact = channel_probability_exact(spec, tau, sender, receiver, 1)
             worst_prob = max(worst_prob, abs(exact - total_success))
         outcome["ok"] = worst_norm <= 1e-12 and worst_prob <= 1e-12
         outcome["detail"] = (

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import tracemalloc
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pareto_relay import (
-    ChannelConfig,
     ChannelMatrix,
     ber_bpsk_awgn,
     channel_matrix,
@@ -17,7 +17,7 @@ from pareto_relay import (
     interference_candidates,
     packet_success,
 )
-from pareto_relay import RateGrid, enumerate_rate_matrices, topology
+from pareto_relay import RateGrid, channel, enumerate_rate_matrices, topology
 from pareto_relay.channel import _link_seed
 from pareto_relay.errors import EnumerationCapError, SchemaError
 from pareto_relay.topology import gain_matrix
@@ -269,16 +269,17 @@ def test_exact_probability_interference_free():
     assert p_sd == pytest.approx(packet_success(2.5, 100), abs=1e-15)
 
 
-def test_exact_probability_cap():
+def test_exact_probability_cap(monkeypatch):
     nodes = [(1, "source", 0, 0)]
     nodes += [(1 + k, "relay", k, 1) for k in range(1, 22)]
     nodes += [(23, "destination", 22, 0)]
     spec = make_spec(nodes, slots=1)
     tau = rate_matrix(spec, [[0.5]] * 21, [[1.0]])
     with pytest.raises(EnumerationCapError):
-        channel_probability_exact(spec, tau, 1, 23, 1, cap=20)
+        channel_probability_exact(spec, tau, 1, 23, 1)
     # a generous cap admits the same pool
-    assert 0.0 <= channel_probability_exact(spec, tau, 1, 23, 1, cap=21) <= 1.0
+    monkeypatch.setattr(channel, "EXACT_CAP", 21)
+    assert 0.0 <= channel_probability_exact(spec, tau, 1, 23, 1) <= 1.0
 
 
 def test_interference_lowers_probability_monotonically():
@@ -349,15 +350,28 @@ def test_channel_matrix_shared_slot_strictly_below_interference_free():
         assert P_busy.p(1, j, 2) == P_quiet.p(1, j, 2)
 
 
-def test_channel_matrix_sampled_fallback_deterministic_and_close():
+def test_channel_matrix_sampled_fallback_deterministic_and_close(monkeypatch):
     spec = five_node()
     tau = rate_matrix(spec, [[0.3, 0.0], [0.7, 0.0], [0.25, 0.0]], [[0.9, 0.0]])
     exact = channel_matrix(tau, spec)
-    cfg = ChannelConfig(exact_cap=0, samples=100_000, seed=5)
-    sampled_a = channel_matrix(tau, spec, cfg)
-    sampled_b = channel_matrix(tau, spec, cfg)
+    monkeypatch.setattr(channel, "EXACT_CAP", 0)
+    monkeypatch.setattr(channel, "SAMPLE_SEED", 5)
+    sampled_a = channel_matrix(tau, spec)
+    sampled_b = channel_matrix(tau, spec)
     assert np.array_equal(sampled_a.probs, sampled_b.probs)
     assert np.max(np.abs(sampled_a.probs - exact.probs)) < 5e-3
+
+
+def test_channel_matrix_default_sampled_estimate_is_pinned(monkeypatch):
+    # No benchmark pool exceeds the cap, so this digest is what guards the
+    # default SAMPLES and SAMPLE_SEED of the sampled fallback.
+    spec = five_node()
+    tau = rate_matrix(spec, [[0.3, 0.0], [0.7, 0.0], [0.25, 0.0]], [[0.9, 0.0]])
+    monkeypatch.setattr(channel, "EXACT_CAP", 0)
+    probs = channel_matrix(tau, spec).probs
+    assert hashlib.sha256(probs.tobytes()).hexdigest() == (
+        "784c50bbb7fb6d37cabc1051ba47c75953aed0fdacbf666c94ee3fe42ef6d983"
+    )
 
 
 def test_channel_matrix_computes_gains_once_per_spec(monkeypatch):
@@ -372,7 +386,9 @@ def test_channel_matrix_computes_gains_once_per_spec(monkeypatch):
     spec = five_node()
     tau = rate_matrix(spec, [[0.3, 0.0], [0.7, 0.0], [0.25, 0.0]], [[0.9, 0.0]])
     channel_matrix(tau, spec)
-    channel_matrix(tau, spec, ChannelConfig(exact_cap=0, samples=10))
+    monkeypatch.setattr(channel, "EXACT_CAP", 0)
+    monkeypatch.setattr(channel, "SAMPLES", 10)
+    channel_matrix(tau, spec)
     n = spec.n_nodes
     assert len(calls) == n * (n - 1)
     with pytest.raises(ValueError):
@@ -380,21 +396,22 @@ def test_channel_matrix_computes_gains_once_per_spec(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "config", [ChannelConfig(), ChannelConfig(exact_cap=0, samples=64)],
-    ids=["exact", "sampled"],
+    "constants", [{}, {"EXACT_CAP": 0, "SAMPLES": 64}], ids=["exact", "sampled"],
 )
-def test_channel_matrix_slot_cache_matches_fresh(config):
+def test_channel_matrix_slot_cache_matches_fresh(constants, monkeypatch):
     # One cache serves every tau of a search, with default and with given
     # source rates; with all links sampled, equal columns in different slots
     # must not share a slice (each link is seeded by its slot).
+    for name, value in constants.items():
+        monkeypatch.setattr(channel, name, value)
     spec = five_node()
     grid = RateGrid.parse("0,0.5")
     cache = {}
     columns = set()
     for sources in (None, np.array([[0.5, 0.5]])):
         for tau in enumerate_rate_matrices(grid, spec, 2, source_rates=sources):
-            cached = channel_matrix(tau, spec, config, slot_cache=cache)
-            fresh = channel_matrix(tau, spec, config)
+            cached = channel_matrix(tau, spec, slot_cache=cache)
+            fresh = channel_matrix(tau, spec)
             assert np.array_equal(cached.probs, fresh.probs)
             columns |= {
                 (u, tuple(tau.rate(i, u) for i in range(1, spec.n_nodes + 1)))
@@ -450,7 +467,7 @@ def _link_probability_reference(spec, tau, sender, receiver, slot):
     return float(np.dot(prob, packet_success(gamma, spec.radio.packet_bits)))
 
 
-def _channel_matrix_reference(tau, spec, config=ChannelConfig()):
+def _channel_matrix_reference(tau, spec):
     n, slots = spec.n_nodes, spec.slot_count
     probs = np.zeros((n, n, slots))
     for u in range(1, slots + 1):
@@ -458,12 +475,12 @@ def _channel_matrix_reference(tau, spec, config=ChannelConfig()):
             for j in range(1, n + 1):
                 if i == j:
                     continue
-                if len(interference_candidates(tau, i, j, u)) <= config.exact_cap:
+                if len(interference_candidates(tau, i, j, u)) <= channel.EXACT_CAP:
                     p = _link_probability_reference(spec, tau, i, j, u)
                 else:
                     p, _ = channel_probability_sampled(
-                        spec, tau, i, j, u, config.samples,
-                        seed=_link_seed(config.seed, i, j, u),
+                        spec, tau, i, j, u, channel.SAMPLES,
+                        seed=_link_seed(channel.SAMPLE_SEED, i, j, u),
                     )
                 probs[i - 1, j - 1, u - 1] = p
     return probs
@@ -531,17 +548,19 @@ def test_channel_matrix_matches_reference_with_two_sources_and_two_destinations(
     assert np.array_equal(channel_matrix(tau, spec).probs, _channel_matrix_reference(tau, spec))
 
 
-def test_channel_matrix_cap_splits_the_pools_of_one_slice():
+def test_channel_matrix_cap_splits_the_pools_of_one_slice(monkeypatch):
     # Five transmitters in slot 1: pools of 5 (two idle endpoints), 4 (one
     # active endpoint) and 3 (two). A cap of 4 samples only the first kind.
     spec, _ = _wide_strategy(0)
     relay_rows = np.zeros((12, 3))
     relay_rows[[0, 3, 5, 8], 0] = (0.1, 0.15, 0.05, 0.1)
     tau = rate_matrix(spec, relay_rows, [[1.0, 0.0, 0.0]])
-    config = ChannelConfig(exact_cap=4, samples=256, seed=3)
-    got = channel_matrix(tau, spec, config).probs
-    assert np.array_equal(got, _channel_matrix_reference(tau, spec, config))
     exact = channel_matrix(tau, spec).probs
+    monkeypatch.setattr(channel, "EXACT_CAP", 4)
+    monkeypatch.setattr(channel, "SAMPLES", 256)
+    monkeypatch.setattr(channel, "SAMPLE_SEED", 3)
+    got = channel_matrix(tau, spec).probs
+    assert np.array_equal(got, _channel_matrix_reference(tau, spec))
     off_diagonal = ~np.eye(spec.n_nodes, dtype=bool)
     same = (got[:, :, 0] == exact[:, :, 0])[off_diagonal]
     assert same.any() and not same.all()

@@ -10,9 +10,9 @@ from pareto_relay import (
     simulate,
     solve_chain_closed_form,
 )
+from pareto_relay import mc_oracle
 from pareto_relay.errors import FlowConservationError, InconsistentForwardingError
 from pareto_relay.mc_oracle import CriterionEstimate, _injections, _simulate_block
-from pareto_relay.rates import relay_transmission_index
 from pareto_relay.steady_state import build_arrival_matrix, build_relaying_matrix
 
 from conftest import injected_channel, line_spec, make_spec, rate_matrix
@@ -96,7 +96,6 @@ def multi_fixture():
         {"n_packets": 10, "seed": 0, "max_epochs": 0},
         {"n_packets": 10, "seed": 0, "confidence": 0.0},
         {"n_packets": 10, "seed": 0, "confidence": 1.0},
-        {"n_packets": 10, "seed": 0, "block_size": 0},
         {"n_packets": 10, "seed": -1},
     ],
 )
@@ -128,17 +127,14 @@ def test_same_seed_reproducible():
     assert a.flow.mean != c.flow.mean
 
 
-def test_thread_count_invariance():
+def test_thread_count_invariance(monkeypatch):
     spec, tau, P, X, _ = single_relay_fixture()
+    monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 1000)
     serial = simulate(
-        tau, X, spec,
-        SimConfig(n_packets=20_000, seed=3, block_size=1000, threads=1),
-        channel=P,
+        tau, X, spec, SimConfig(n_packets=20_000, seed=3, threads=1), channel=P
     )
     parallel = simulate(
-        tau, X, spec,
-        SimConfig(n_packets=20_000, seed=3, block_size=1000, threads=4),
-        channel=P,
+        tau, X, spec, SimConfig(n_packets=20_000, seed=3, threads=4), channel=P
     )
     assert serial == parallel
 
@@ -277,7 +273,7 @@ def _block_inputs(fixture):
     spec, tau, P, X, _ = fixture()
     Q = build_relaying_matrix(X, tau, P)
     D = build_arrival_matrix(tau, P, spec)
-    return _injections(tau, X, P, spec, relay_transmission_index(tau)), Q, D
+    return _injections(tau, X, P, spec), Q, D
 
 
 def _assert_single_relay(injections, Q, D, results):

@@ -16,7 +16,7 @@ from pareto_relay import (
     enumerate_rate_matrices,
 )
 from pareto_relay.errors import GridError, SchemaError
-from pareto_relay.rates import incoming_rate, outgoing_rate
+from pareto_relay.rates import incoming_rates
 
 from conftest import injected_channel, line_spec, make_spec, rate_matrix
 
@@ -77,17 +77,17 @@ def test_active_set_per_slot_view(three_node):
 def test_incoming_rate_no_neighbors(three_node):
     tau = rate_matrix(three_node, [[0.0, 0.0]], [[0.0, 0.0]])
     P = injected_channel(3, 2, {})
-    per_slot, total = incoming_rate(2, tau, P)
-    assert total == 0.0
+    per_slot = incoming_rates(tau, P)[1]
+    assert per_slot.sum() == 0.0
     assert np.all(per_slot == 0.0)
 
 
 def test_incoming_rate_single_feeder(three_node):
     tau = rate_matrix(three_node, [[0.0, 0.0]], [[1.0, 0.0]])
     P = injected_channel(3, 2, {(1, 2, 1): 0.6})
-    per_slot, total = incoming_rate(2, tau, P)
+    per_slot = incoming_rates(tau, P)[1]
     assert per_slot[0] == pytest.approx(0.6)
-    assert total == pytest.approx(0.6)
+    assert per_slot.sum() == pytest.approx(0.6)
 
 
 def test_incoming_rate_two_feeders():
@@ -101,15 +101,17 @@ def test_incoming_rate_two_feeders():
     )
     tau = rate_matrix(spec, [[0.0, 0.0]], [[0.5, 0.0], [1.0, 0.0]])
     P = injected_channel(4, 2, {(1, 3, 1): 0.8, (2, 3, 1): 0.3})
-    per_slot, total = incoming_rate(3, tau, P)
+    per_slot = incoming_rates(tau, P)[2]
     assert per_slot[0] == pytest.approx(0.5 * 0.8 + 1.0 * 0.3)
-    assert total == pytest.approx(0.7)
+    assert per_slot.sum() == pytest.approx(0.7)
 
 
 def test_outgoing_rate(three_node):
-    assert outgoing_rate(2, rate_matrix(three_node, [[0.0, 0.0]], [[0, 0]])) == 0.0
-    assert outgoing_rate(2, rate_matrix(three_node, [[0.5, 0.25]], [[0, 0]])) == 0.75
-    assert outgoing_rate(2, rate_matrix(three_node, [[1.0, 1.0]], [[0, 0]])) == 2.0
+    # the flow gate reports each relay's total transmission rate first
+    P = injected_channel(3, 2, {})
+    for row, total in (([0.0, 0.0], 0.0), ([0.5, 0.25], 0.75), ([1.0, 1.0], 2.0)):
+        tau = rate_matrix(three_node, [row], [[0, 0]])
+        assert check_flow_conservation(tau, P).entries[2][0] == total
 
 
 def test_flow_conservation_idle_relay_passes(three_node):
@@ -263,6 +265,16 @@ def test_enumeration_rejects_bad_n_max(three_node):
         list(enumerate_rate_matrices(grid, three_node, 2))
     with pytest.raises(GridError):
         list(enumerate_rate_matrices(grid, three_node, -1))
+
+
+def test_count_rejects_the_n_max_enumeration_rejects(three_node):
+    grid = RateGrid.parse("0,1")
+    for n_max in (2, -1):
+        with pytest.raises(GridError) as listed:
+            list(enumerate_rate_matrices(grid, three_node, n_max))
+        with pytest.raises(GridError) as counted:
+            count_rate_matrices(grid, three_node, n_max)
+        assert str(counted.value) == str(listed.value)
 
 
 @settings(max_examples=50, deadline=None)

@@ -44,6 +44,12 @@ def delay_per_delivery(crit) -> float:
     return crit.f_d / crit.f if crit.f > 0.0 else 0.0
 
 
+def ungated_criteria(tau, X, spec, P):
+    """The criteria without any of evaluate's gates or guards."""
+    ts = build_transition_system(tau, X, P, spec)
+    return criteria(ts.F1, fundamental_matrix(ts.Q), ts.D)
+
+
 def single_relay_setup(tau_r=0.4, p_sr=0.8, p_sd=0.2, p_rd=0.9):
     spec = line_spec(slots=2)
     tau = rate_matrix(spec, [[0.0, tau_r]], [[1.0, 0.0]])
@@ -316,8 +322,8 @@ def test_multi_source_superposition():
     # per-source flows with the same tau, X and channel add up
     alone_1 = rate_matrix(spec, [[0.0, 0.3]], [[0.6, 0.0], [0.0, 0.0]])
     alone_2 = rate_matrix(spec, [[0.0, 0.3]], [[0.0, 0.0], [0.5, 0.0]])
-    f_1 = evaluate(alone_1, X, spec, channel=P, check_feasibility=False).f
-    f_2 = evaluate(alone_2, X, spec, channel=P, check_feasibility=False).f
+    f_1 = ungated_criteria(alone_1, X, spec, P).f
+    f_2 = ungated_criteria(alone_2, X, spec, P).f
     assert both.f == pytest.approx(f_1 + f_2, abs=1e-12)
 
 
@@ -328,9 +334,7 @@ def test_flow_grows_linearly_in_forwarding_probability():
     direct = 1.0 * 0.2
     for scale in (0.25, 0.5, 0.75):
         scaled = np.array(X.values) * scale
-        crit = evaluate(
-            tau, ForwardingMatrix(scaled), spec, channel=P, check_feasibility=False
-        )
+        crit = ungated_criteria(tau, ForwardingMatrix(scaled), spec, P)
         assert crit.f == pytest.approx(direct + scale * (base - direct), abs=1e-12)
 
 
@@ -422,7 +426,7 @@ def test_evaluate_detects_divergent_cascade():
     tau = rate_matrix(spec, [[0.01, 0.01], [0.01, 0.01]], [[1.0, 0.0]])
     X = ForwardingMatrix(np.ones((4, 4, 2, 2)))
     with pytest.raises(DivergentSystemError):
-        evaluate(tau, X, spec, channel=P, check_feasibility=False)
+        ungated_criteria(tau, X, spec, P)
 
 
 def test_cut_set_guard_regimes():
