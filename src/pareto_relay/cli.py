@@ -190,7 +190,7 @@ def cmd_search(args) -> int:
     )
     source_rates = None
     if args.sources is not None:
-        # Shape and range are checked by every RateMatrix built from these rows.
+        # The search checks the shape, and every RateMatrix the range.
         document = read_object(Path(args.sources).read_bytes(), "source-rate")
         source_rates = np.asarray(require_rows(document, "sources", "source-rate document"))
 

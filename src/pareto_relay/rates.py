@@ -73,17 +73,21 @@ class RateMatrix:
         self.slot_count = spec.slot_count
         self._relay_rows = np.array(self.relay_ids, dtype=int) - 1
         self._source_rows = np.array(self.source_ids, dtype=int) - 1
-        rates = np.zeros((spec.n_nodes, self.slot_count))
+        blocks = []
         for name, rows, given in (
             ("relay", self._relay_rows, relay_rates),
             ("source", self._source_rows, source_rates),
         ):
             given = np.asarray(given, dtype=float)
-            if given.shape != (len(rows), self.slot_count):
-                raise SchemaError(
-                    f"{name} rates must have shape ({len(rows)}, {self.slot_count}),"
-                    f" got {given.shape}"
-                )
+            # An empty row list carries no slot count: a network without
+            # relays writes "tau": [].
+            if given.size == 0 == len(rows):
+                continue
+            blocks.append((rows, _shaped(name, given, len(rows), self.slot_count)))
+        # Allocated only once the shapes hold, so a slot count no input
+        # matches is refused before it sizes an array.
+        rates = np.zeros((spec.n_nodes, self.slot_count))
+        for rows, given in blocks:
             rates[rows] = given
         if not np.all((rates >= 0.0) & (rates <= 1.0)):
             raise SchemaError("relay and source rates must lie in [0, 1]")
@@ -144,11 +148,8 @@ class RateMatrix:
     @classmethod
     def from_json(cls, spec: NetworkSpec, document) -> "RateMatrix":
         document = read_object(document, "rate")
-        # An empty row list carries no slot count: a network without relays
-        # writes "tau": [].
         tau, sources = (
-            require_rows(document, k, "rate document") or np.zeros((0, spec.slot_count))
-            for k in ("tau", "sources")
+            require_rows(document, k, "rate document") for k in ("tau", "sources")
         )
         return cls.for_network(spec, tau, sources)
 
@@ -281,6 +282,16 @@ def check_half_duplex(
     return HalfDuplexReport(entries=entries)
 
 
+def _shaped(name: str, given, n_rows: int, slot_count: int) -> np.ndarray:
+    """``given`` as a float array; raises unless it is ``(n_rows, slot_count)``."""
+    given = np.asarray(given, dtype=float)
+    if given.shape != (n_rows, slot_count):
+        raise SchemaError(
+            f"{name} rates must have shape ({n_rows}, {slot_count}), got {given.shape}"
+        )
+    return given
+
+
 def default_source_rates(spec: NetworkSpec) -> np.ndarray:
     """Default source schedule: every source transmits at rate 1 in slot 1."""
     rates = np.zeros((len(spec.source_ids), spec.slot_count))
@@ -307,6 +318,8 @@ def enumerate_rate_matrices(
     slots = spec.slot_count
     if source_rates is None:
         source_rates = default_source_rates(spec)
+    else:  # before the rows below, whose count the slot count sets
+        source_rates = _shaped("source", source_rates, len(spec.source_ids), slots)
     nonzero_rows = [row for row in product(grid.values, repeat=slots) if any(r > 0 for r in row)]
     for k in range(n_max + 1):
         for subset in combinations(range(len(relays)), k):

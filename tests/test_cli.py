@@ -451,6 +451,25 @@ def test_evaluate_exit_code_contract(field, value):
         assert lines[0].startswith(("error:", "infeasible:")), lines
 
 
+@pytest.mark.parametrize("subcommand", ["evaluate", "oracle", "search"])
+def test_slot_count_no_input_matches_is_refused(subcommand):
+    """A frame of 10^400 slots, which no array can hold, is refused by the
+    rate-shape check with exit 1, not by numpy or itertools."""
+    names = ("topology", "sources") if subcommand == "search" else ("topology", "tau", "x")
+    docs = _fuzzed_documents(("topology", ("frame", "slots")), 10**400, names=names)
+    extra = {
+        "evaluate": (),
+        "oracle": ("--packets", "200"),
+        "search": ("--grid", "0,0.25", "--n-max", "1", "--x-samples", "1"),
+    }[subcommand]
+    with tempfile.TemporaryDirectory() as out_dir:
+        if subcommand == "search":
+            extra += ("--output-dir", out_dir)
+        code, lines = _run_on_documents(subcommand, docs, *extra)
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error:") and "shape" in lines[0], lines
+
+
 # Text for one oracle flag: small and huge integers of either sign, floats
 # with nan and inf, and short arbitrary strings.
 FLAG_TEXT = (

@@ -96,6 +96,7 @@ def multi_fixture():
         {"n_packets": 10, "seed": 0, "max_epochs": 0},
         {"n_packets": 10, "seed": 0, "confidence": 0.0},
         {"n_packets": 10, "seed": 0, "confidence": 1.0},
+        {"n_packets": 10, "seed": 0, "confidence": float("nan")},
         {"n_packets": 10, "seed": -1},
     ],
 )
