@@ -335,7 +335,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return 2
-    except (ParetoRelayError, OSError) as exc:
+    except (ParetoRelayError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

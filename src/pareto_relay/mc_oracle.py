@@ -24,16 +24,16 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .channel import ChannelMatrix, channel_matrix
-from .forwarding import ForwardingMatrix, check_forwarder_roles, consistency_residuals
-from .rates import (
-    DEFAULT_TOLERANCE,
-    RateMatrix,
-    check_flow_conservation,
-    check_half_duplex,
-)
-from .steady_state import build_arrival_matrix, build_relaying_matrix, check_layout
+from .channel import ChannelMatrix
+from .forwarding import ForwardingMatrix
+from .rates import DEFAULT_TOLERANCE, RateMatrix
+from .steady_state import build_arrival_matrix, build_relaying_matrix, check_strategy
 from .topology import NetworkSpec
+
+# Not called here; kept because bench/spans.py wraps them on this module.
+from .channel import channel_matrix
+from .forwarding import check_forwarder_roles, consistency_residuals
+from .rates import check_flow_conservation, check_half_duplex
 
 # The random-draw granularity: every block of BLOCK_SIZE trials owns an
 # independent generator derived from (seed, block index), so results are
@@ -376,17 +376,11 @@ def simulate(
 ) -> SimEstimate:
     """Estimate f, f_D and f_E from ``config.n_packets`` independent trials.
 
-    Applies the same feasibility gates as the analytic evaluation, then
-    runs the branching process in blocks of ``BLOCK_SIZE`` trials.
+    Gates the strategy with :func:`check_strategy`, as ``evaluate`` does,
+    then runs the branching process in blocks of ``BLOCK_SIZE`` trials.
     Deterministic per seed and independent of ``config.threads``.
     """
-    check_layout(tau, X, spec, channel)
-    if channel is None:
-        channel = channel_matrix(tau, spec)
-    check_forwarder_roles(X, tau)
-    check_flow_conservation(tau, channel, tolerance).raise_if_failed()
-    check_half_duplex(tau, channel, tolerance).raise_if_failed()
-    consistency_residuals(X, tau, channel, tolerance).raise_if_inconsistent()
+    channel = check_strategy(tau, spec, channel, X, tolerance)
 
     Q = build_relaying_matrix(X, tau, channel)
     D = build_arrival_matrix(tau, channel, spec)

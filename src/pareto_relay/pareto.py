@@ -12,7 +12,7 @@ the archive and its invariant check all share.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,13 +32,14 @@ from .rates import (
     DEFAULT_TOLERANCE,
     RateGrid,
     RateMatrix,
-    check_flow_conservation,
-    check_half_duplex,
     enumerate_rate_matrices,
     relay_transmission_index,
 )
-from .steady_state import CriteriaVector, evaluate
+from .steady_state import CriteriaVector, check_strategy, evaluate
 from .topology import NetworkSpec
+
+# Not called here; kept because bench/spans.py wraps them on this module.
+from .rates import check_flow_conservation, check_half_duplex
 
 
 class Sense(enum.Enum):
@@ -270,7 +271,6 @@ class SearchResult:
     n_pruned: int = 0
     n_evaluated: int = 0
     channel_slices: int = 0
-    evaluated: list[ParetoSolution] = field(default_factory=list)
 
 
 def _tau_seed(seed: int, tau_idx: int) -> int:
@@ -305,7 +305,6 @@ def exhaustive_search(
     thresholds: PruneThresholds | None = None,
     source_rates: np.ndarray | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
-    collect_evaluated: bool = False,
 ) -> SearchResult:
     """Stream every rate matrix on the grid through feasibility, pruning,
     forwarding generation, and evaluation; maintain the Pareto archive.
@@ -325,10 +324,9 @@ def exhaustive_search(
     for tau_idx, tau in enumerate(taus):
         result.n_tau += 1
         P = channel_matrix(tau, spec, slot_cache=slot_cache)
-        if not (
-            check_flow_conservation(tau, P, tolerance).all_ok
-            and check_half_duplex(tau, P, tolerance).all_ok
-        ):
+        try:
+            check_strategy(tau, spec, P, tolerance=tolerance)
+        except InfeasibleError:
             result.n_infeasible += 1
             continue
         if not prune_tau(tau, P, thresholds).keep:
@@ -350,8 +348,6 @@ def exhaustive_search(
             sol = ParetoSolution(f"{tau_idx:06d}-{x_idx:04d}", criteria, tau, X)
             result.n_evaluated += 1
             result.archive.insert(sol)
-            if collect_evaluated:
-                result.evaluated.append(sol)
         if result.n_evaluated == n_before:
             result.n_infeasible += 1
     result.archive.check_non_dominated()

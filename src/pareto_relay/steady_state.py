@@ -265,14 +265,19 @@ def _cut_set_guard(
         )
 
 
-def check_layout(
+def check_strategy(
     tau: RateMatrix,
-    X: ForwardingMatrix,
     spec: NetworkSpec,
-    channel: ChannelMatrix | None = None,
-) -> None:
-    """Raise :class:`SchemaError` unless tau, X and the channel (when given)
-    are laid out for ``spec``'s nodes and slots."""
+    P: ChannelMatrix | None = None,
+    X: ForwardingMatrix | None = None,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> ChannelMatrix:
+    """The one feasibility gate: return the channel (``channel_matrix(tau,
+    spec)`` when ``P`` is None) once the strategy passes every check, in
+    this order: the layouts of tau, X and P against ``spec``
+    (:class:`SchemaError`), then X's forwarder roles, flow conservation,
+    half duplex and X's consistency (:class:`InfeasibleError`). The checks
+    on X run only when X is given. The first failure raises."""
     n, slots = spec.n_nodes, spec.slot_count
     if (
         tau.rates.shape != (n, slots)
@@ -280,10 +285,19 @@ def check_layout(
         or tau.source_ids != spec.source_ids
     ):
         raise SchemaError("rate matrix layout does not match the network")
-    if X.values.shape != (n, n, slots, slots):
+    if X is not None and X.values.shape != (n, n, slots, slots):
         raise SchemaError("forwarding matrix shape does not match the network")
-    if channel is not None and channel.probs.shape != (n, n, slots):
+    if P is None:
+        P = channel_matrix(tau, spec)
+    elif P.probs.shape != (n, n, slots):
         raise SchemaError("channel matrix shape does not match the network")
+    if X is not None:
+        check_forwarder_roles(X, tau)
+    check_flow_conservation(tau, P, tolerance).raise_if_failed()
+    check_half_duplex(tau, P, tolerance).raise_if_failed()
+    if X is not None:
+        consistency_residuals(X, tau, P, tolerance).raise_if_inconsistent()
+    return P
 
 
 def evaluate(
@@ -293,19 +307,13 @@ def evaluate(
     channel: ChannelMatrix | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> CriteriaVector:
-    """Full pipeline: channel, feasibility gates, transition system, criteria.
+    """Gate the strategy with :func:`check_strategy`, then build the
+    transition system and compute the criteria.
 
     ``channel`` overrides the computed interference-aware probabilities,
     which lets callers evaluate a prescribed link model.
     """
-    check_layout(tau, X, spec, channel)
-    if channel is None:
-        channel = channel_matrix(tau, spec)
-
-    check_forwarder_roles(X, tau)
-    check_flow_conservation(tau, channel, tolerance).raise_if_failed()
-    check_half_duplex(tau, channel, tolerance).raise_if_failed()
-    consistency_residuals(X, tau, channel, tolerance).raise_if_inconsistent()
+    channel = check_strategy(tau, spec, channel, X, tolerance)
 
     ts = build_transition_system(tau, X, channel, spec)
     M_F = fundamental_matrix(ts.Q)

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from pareto_relay import ChannelMatrix, NetworkSpec, RateMatrix, load_network
+from pareto_relay import (
+    ChannelMatrix,
+    NetworkSpec,
+    ParetoArchive,
+    RateMatrix,
+    exhaustive_search,
+    load_network,
+)
 
 DEFAULT_RADIO = {
     "tx_power_w": 1.0,
@@ -59,3 +68,19 @@ def rate_matrix(spec, relay_rows, source_rows) -> RateMatrix:
 @pytest.fixture
 def three_node():
     return line_spec(slots=2)
+
+
+def search_recording_candidates(spec, grid, **kwargs):
+    """Run ``exhaustive_search`` and return ``(result, candidates)``, where
+    ``candidates`` lists every solution the search evaluated, in order, as
+    ``ParetoArchive.insert`` received them."""
+    candidates = []
+    insert = ParetoArchive.insert
+
+    def recording_insert(archive, solution):
+        candidates.append(solution)
+        return insert(archive, solution)
+
+    with mock.patch.object(ParetoArchive, "insert", recording_insert):
+        result = exhaustive_search(spec, grid, **kwargs)
+    return result, candidates

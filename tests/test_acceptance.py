@@ -24,7 +24,6 @@ from pareto_relay import (
     dominates,
     enumerate_rate_matrices,
     evaluate,
-    exhaustive_search,
     fundamental_matrix,
     interference_candidates,
     sample_feasible_forwarding,
@@ -38,7 +37,13 @@ from pareto_relay.cli import main as cli_main
 from pareto_relay.steady_state import delay_identity_gap
 from pareto_relay.topology import gain_matrix
 
-from conftest import injected_channel, line_spec, make_spec, rate_matrix
+from conftest import (
+    injected_channel,
+    line_spec,
+    make_spec,
+    rate_matrix,
+    search_recording_candidates,
+)
 
 
 @contextmanager
@@ -382,17 +387,16 @@ def test_criterion_7_pareto_front_correctness(capsys):
     # behave as a strict partial order.
     with criterion(capsys, 7) as outcome:
         spec, grid, source_rates = _pareto_instance()
-        result = exhaustive_search(
+        result, evaluated = search_recording_candidates(
             spec, grid, n_max=2, x_samples_per_tau=5, seed=7,
-            source_rates=source_rates, collect_evaluated=True,
+            source_rates=source_rates,
         )
         senses = ObjectiveSense.default()
         brute = {
             s.solution_id
-            for s in result.evaluated
+            for s in evaluated
             if not any(
-                dominates(o.criteria, s.criteria, senses)
-                for o in result.evaluated
+                dominates(o.criteria, s.criteria, senses) for o in evaluated
             )
         }
         front = {s.solution_id for s in result.archive}
@@ -422,7 +426,7 @@ def test_criterion_7_pareto_front_correctness(capsys):
         outcome["ok"] = front_ok and order_ok
         outcome["detail"] = (
             f"front of {len(front)} equals brute-force filter of "
-            f"{len(result.evaluated)} candidates; dominance order checks "
+            f"{len(evaluated)} candidates; dominance order checks "
             f"on 10^4 triples {'pass' if order_ok else 'fail'}"
         )
 
@@ -457,12 +461,12 @@ def test_criterion_8_feasibility_gates(capsys):
                 checked += 1
 
         spec, grid, source_rates = _pareto_instance()
-        result = exhaustive_search(
+        _, evaluated = search_recording_candidates(
             spec, grid, n_max=2, x_samples_per_tau=3, seed=7,
-            source_rates=source_rates, collect_evaluated=True,
+            source_rates=source_rates,
         )
-        gate_ok = len(result.evaluated) > 0
-        for sol in result.evaluated:
+        gate_ok = len(evaluated) > 0
+        for sol in evaluated:
             P = channel_matrix(sol.tau, spec)
             if not check_flow_conservation(sol.tau, P, 1e-9).all_ok:
                 gate_ok = False
@@ -471,7 +475,7 @@ def test_criterion_8_feasibility_gates(capsys):
         outcome["ok"] = count_ok and gate_ok
         outcome["detail"] = (
             f"{checked} enumeration counts match the closed form; "
-            f"{len(result.evaluated)} evaluated strategies satisfy the "
+            f"{len(evaluated)} evaluated strategies satisfy the "
             f"rate constraints at 1e-9"
         )
 

@@ -2,21 +2,35 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pareto_relay
 from pareto_relay import (
     ForwardingMatrix,
+    SimConfig,
     channel_matrix,
     evaluate,
     serialize_network,
+    simulate,
     solve_chain_closed_form,
 )
 from pareto_relay.cli import main
+from pareto_relay.errors import (
+    FlowConservationError,
+    HalfDuplexError,
+    InconsistentForwardingError,
+    ModelViolationError,
+    SchemaError,
+)
+from pareto_relay.steady_state import check_strategy
 
 from conftest import line_spec, make_spec, rate_matrix
 
@@ -480,6 +494,99 @@ def test_slot_count_no_input_matches_is_refused(subcommand):
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
         reason = "slots" if subcommand == "search-default-sources" else "shape"
         assert reason in lines[0], lines
+
+
+def test_search_out_of_memory_is_one_error_line(tmp_path):
+    """A one-value grid has no relay rows for the rate-shape check to bound,
+    so on a 10^12-slot frame numpy cannot allocate the default source rates;
+    ``python -m pareto_relay`` reports that as one error: line with exit 1.
+    The child's address space is capped at 8 GiB, so the allocation fails
+    even where the kernel would overcommit it."""
+    doc = serialize_network(line_spec(slots=2))
+    doc["frame"]["slots"] = 10**12
+    topology = tmp_path / "topology.json"
+    topology.write_text(json.dumps(doc))
+    run_capped = (
+        "import resource, runpy; "
+        "resource.setrlimit(resource.RLIMIT_AS, (8 << 30, 8 << 30)); "
+        "runpy.run_module('pareto_relay', run_name='__main__', alter_sys=True)"
+    )
+    src = str(Path(pareto_relay.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", run_capped, "search", "--topology", str(topology),
+         "--grid", "0", "--n-max", "1", "--x-samples", "1",
+         "--output-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 1, proc.stderr
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "Traceback" not in proc.stderr
+
+
+def _gate_failures() -> dict:
+    """(spec, tau, X, error) per case. Each case fails the gate it names
+    and passes every gate before it; "roles and flow" fails both."""
+    spec = line_spec(slots=2)
+    tau = rate_matrix(spec, [[0.0, 0.4]], [[1.0, 0.0]])
+    X = solve_chain_closed_form(tau, channel_matrix(tau, spec), spec)
+    by_destination = np.array(X.values)
+    by_destination[0, 2, 0, 1] = 0.5  # node 3, a destination, forwards
+    # The relay sends at rate 1 but hears the source with p_SR < 1.
+    overdrawn = rate_matrix(spec, [[0.0, 1.0]], [[1.0, 0.0]])
+    wide = make_spec(
+        [(1, "source", 0, 0), (2, "relay", 1, 0), (3, "destination", 2, 0),
+         (4, "destination", 2, 1)]
+    )
+    # Both sources reach the relay in slot 1 with p near 1: it would have
+    # to receive about 1.8 packets in one slot.
+    two_feeders = make_spec(
+        [(1, "source", 0, 0), (2, "source", 2, 0), (3, "relay", 1, 0),
+         (4, "destination", 1, -1)],
+        radio={"packet_bits": 1, "noise_power_w": 0.01},
+    )
+    crowded = rate_matrix(two_feeders, [[0.0, 0.1]], [[1.0, 0.0], [1.0, 0.0]])
+    return {
+        "layout": (spec, rate_matrix(wide, [[0.0, 0.4]], [[1.0, 0.0]]), X, SchemaError),
+        "roles": (spec, tau, ForwardingMatrix(by_destination), ModelViolationError),
+        "flow": (spec, overdrawn, ForwardingMatrix.zeros(3, 2), FlowConservationError),
+        "half duplex": (two_feeders, crowded, ForwardingMatrix.zeros(4, 2), HalfDuplexError),
+        "consistency": (spec, tau, ForwardingMatrix.zeros(3, 2), InconsistentForwardingError),
+        "roles and flow": (
+            spec, overdrawn, ForwardingMatrix(by_destination), ModelViolationError
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["layout", "roles", "flow", "half duplex", "consistency", "roles and flow"]
+)
+def test_gate_failures_agree_across_callers(case):
+    """``check_strategy``, ``evaluate`` and ``simulate`` raise the same first
+    failure, and CLI ``evaluate`` and ``oracle`` print it identically. The
+    CLI cannot be handed a layout mismatch: its readers shape-check."""
+    spec, tau, X, error = _gate_failures()[case]
+    raised = []
+    for call in (
+        lambda: check_strategy(tau, spec, None, X),
+        lambda: evaluate(tau, X, spec),
+        lambda: simulate(tau, X, spec, SimConfig(n_packets=100, seed=0)),
+    ):
+        with pytest.raises(error) as info:
+            call()
+        raised.append((type(info.value), str(info.value)))
+    assert raised == [(error, raised[0][1])] * 3
+    if error is SchemaError:
+        return
+    docs = {
+        "topology": serialize_network(spec),
+        "tau": tau.to_json_dict(),
+        "x": X.to_json_dict(),
+    }
+    expected = (2, [f"infeasible: {raised[0][1]}"])
+    assert _run_on_documents("evaluate", docs) == expected
+    assert _run_on_documents("oracle", docs, "--packets", "100") == expected
 
 
 # Text for one oracle flag: small and huge integers of either sign, floats

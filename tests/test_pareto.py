@@ -27,7 +27,13 @@ from pareto_relay import (
 from pareto_relay.errors import ParetoRelayError, SchemaError
 from pareto_relay.pareto import tau_energy_rate, tau_flow_rate
 
-from conftest import injected_channel, line_spec, make_spec, rate_matrix
+from conftest import (
+    injected_channel,
+    line_spec,
+    make_spec,
+    rate_matrix,
+    search_recording_candidates,
+)
 
 
 def crit(fc, fd, fe, f=None):
@@ -284,15 +290,15 @@ def test_search_no_relays_gives_direct_solution(three_node):
 
 def test_search_counters_and_determinism(three_node):
     grid = RateGrid.parse("0,0.25,0.5")
-    kwargs = dict(n_max=1, x_samples_per_tau=3, seed=0, collect_evaluated=True)
-    a = exhaustive_search(three_node, grid, **kwargs)
+    kwargs = dict(n_max=1, x_samples_per_tau=3, seed=0)
+    a, a_evaluated = search_recording_candidates(three_node, grid, **kwargs)
     b = exhaustive_search(three_node, grid, **kwargs)
     assert a.n_tau == count_rate_matrices(grid, three_node, 1) == 9
     assert a.n_tau == a.n_infeasible + a.n_pruned + len(
-        {s.solution_id.split("-")[0] for s in a.evaluated}
+        {s.solution_id.split("-")[0] for s in a_evaluated}
     )
     assert a.n_pruned == 0
-    assert a.n_evaluated == len(a.evaluated)
+    assert a.n_evaluated == len(a_evaluated)
     assert [s.solution_id for s in a.archive] == [s.solution_id for s in b.archive]
     assert criteria_values(a.archive) == criteria_values(b.archive)
     for s in a.archive:
@@ -301,17 +307,14 @@ def test_search_counters_and_determinism(three_node):
 
 def test_search_front_equals_brute_force_filter(three_node):
     grid = RateGrid.parse("0,0.25,0.5")
-    result = exhaustive_search(
-        three_node, grid, n_max=1, x_samples_per_tau=3, seed=0,
-        collect_evaluated=True,
+    result, evaluated = search_recording_candidates(
+        three_node, grid, n_max=1, x_samples_per_tau=3, seed=0
     )
     senses = ObjectiveSense.default()
     non_dominated = {
         s.solution_id
-        for s in result.evaluated
-        if not any(
-            dominates(o.criteria, s.criteria, senses) for o in result.evaluated
-        )
+        for s in evaluated
+        if not any(dominates(o.criteria, s.criteria, senses) for o in evaluated)
     }
     assert {s.solution_id for s in result.archive} == non_dominated
 
@@ -368,16 +371,14 @@ def test_search_multi_feeder_uses_sampled_forwarding():
         ]
     )
     source_rates = np.array([[0.5, 0.0], [0.5, 0.0]])
-    result = exhaustive_search(
+    result, evaluated = search_recording_candidates(
         spec, RateGrid.parse("0,0.3"), n_max=1, x_samples_per_tau=4, seed=0,
-        source_rates=source_rates, collect_evaluated=True,
+        source_rates=source_rates,
     )
     assert result.n_tau == 4
     # rate matrices with an active relay have two feeders, so their
     # candidates carry distinct x indices from the sampler
-    x_indices = {
-        s.solution_id for s in result.evaluated if s.solution_id.endswith("0001")
-    }
+    x_indices = {s.solution_id for s in evaluated if s.solution_id.endswith("0001")}
     assert x_indices
     # stored strategies re-evaluate to their recorded criteria
     for s in result.archive:
@@ -405,12 +406,11 @@ def test_evaluated_flow_and_energy_depend_on_tau_alone():
     f and f_e equal them, whatever its X: closed form and sampler draws
     alike."""
     spec = fork_spec()
-    result = exhaustive_search(
-        spec, RateGrid.parse("0,0.25"), n_max=2, x_samples_per_tau=1, seed=0,
-        collect_evaluated=True,
+    _, evaluated = search_recording_candidates(
+        spec, RateGrid.parse("0,0.25"), n_max=2, x_samples_per_tau=1, seed=0
     )
-    assert len(result.evaluated) == 136
-    for sol in result.evaluated:
+    assert len(evaluated) == 136
+    for sol in evaluated:
         P = channel_matrix(sol.tau, spec)
         assert abs(sol.criteria.f - tau_flow_rate(sol.tau, P)) <= 1e-12
         assert abs(sol.criteria.f_e - tau_energy_rate(sol.tau)) <= 1e-12
