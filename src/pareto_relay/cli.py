@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 usage or runtime error, 2 infeasible input
 (rate/forwarding constraints violated or divergent flow system). Every
 file written is accompanied by a run manifest recording tool version,
-input digests, seeds, flags, and wall time; numeric output carries 12
-significant digits so reruns are byte-identical.
+Python, numpy and scipy versions, input digests, seeds, flags, and wall
+time; numeric output carries 12 significant digits so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -16,17 +17,19 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .channel import channel_matrix
 from .errors import InfeasibleError, ParetoRelayError, SchemaError
 from .forwarding import ForwardingMatrix
-from .mc_oracle import SimConfig, simulate
+from .mc_oracle import SimConfig, _log_q, simulate
 from .pareto import ObjectiveSense, PruneThresholds, exhaustive_search
 from .rates import DEFAULT_TOLERANCE, RateGrid, RateMatrix
 from .steady_state import evaluate
@@ -113,14 +116,22 @@ def _manifest(
         for k, v in vars(args).items()
         if k != "func" and v is not None
     }
-    return {
+    manifest = {
         "tool": "pareto-relay",
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "subcommand": subcommand,
         "flags": flags,
         "inputs": {str(Path(p)): _sha256(Path(p)) for p in inputs},
         "wall_time_s": wall,
     }
+    if subcommand == "oracle":
+        # how the oracle reproduces numpy's binomial P(X = 0); None when it
+        # leaves every draw to Generator.binomial
+        manifest["binomial_log_rule"] = _log_q()
+    return manifest
 
 
 def _write_manifest(path: Path, manifest: dict) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -37,7 +38,9 @@ from .rates import check_flow_conservation, check_half_duplex
 
 # The random-draw granularity: every block of BLOCK_SIZE trials owns an
 # independent generator derived from (seed, block index), so results are
-# identical no matter how blocks are scheduled across threads.
+# identical no matter how blocks are scheduled across threads. It also
+# sets the width of the arrays each worker thread reuses for its blocks
+# (``_BlockArrays``, about (2l + 5) * BLOCK_SIZE * 8 bytes).
 BLOCK_SIZE = 65_536
 
 
@@ -151,11 +154,19 @@ def _row_draws(Q: np.ndarray, D: np.ndarray):
     return rows
 
 
+# The two known ways to compute log q = log(1 - p), by name.
+_LOG_Q = {
+    "log1p": lambda p: math.log1p(-p),
+    "log": lambda p: math.log(1.0 - p),
+}
+
+
 @functools.cache
-def _log_q():
+def _log_q() -> str | None:
     """How the installed numpy computes log q = log(1 - p) in binomial's
-    P(X = 0) = exp(n log q): ``math.log1p(-p)`` (numpy 2.4) or
-    ``math.log(1 - p)`` (the published algorithm); None if neither.
+    P(X = 0) = exp(n log q): ``"log1p"``, ``math.log1p(-p)`` (numpy 2.4),
+    or ``"log"``, ``math.log(1 - p)`` (the published algorithm); None if
+    neither.
 
     A candidate must give numpy's exact threshold for X = 0 on three
     (n, p) pairs where the two rules differ by an ulp. Each draw runs on
@@ -172,13 +183,13 @@ def _log_q():
                       "has_uint32": 0, "uinteger": 0}
         return np.random.Generator(bits).binomial(n, p)
 
-    for log_q in (lambda p: math.log1p(-p), lambda p: math.log(1.0 - p)):
+    for name, log_q in _LOG_Q.items():
         if all(
             first_draw(n, p, qn) == 0 and first_draw(n, p, math.nextafter(qn, 1.0)) == 1
             for n, p in ((1, 0.3), (2, 0.01375), (5, 0.2))
             for qn in [math.exp(n * log_q(p))]
         ):
-            return log_q
+            return name
     return None
 
 
@@ -217,36 +228,46 @@ def _walk(rng, n: list, p: float, log_q: float, u: list) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _binomial_rows(rng, n: np.ndarray, probs: list):
-    """Yield ``rng.binomial(n, p)`` for each p of ``probs`` in turn: the
-    same values, leaving ``rng`` in the same state, from one
-    ``rng.random`` fill per p over the trials with n > 0.
+def _binomial_rows(rng, n: np.ndarray, probs: list, u: np.ndarray):
+    """``rng.binomial(n, p)`` for each p of ``probs`` in turn, at the
+    trials with n > 0: the same values, leaving ``rng`` in the same
+    state, from one ``rng.random`` fill per p of the caller's buffer
+    ``u`` (at least as long as ``n``). Returns the positions of those
+    trials (``slice(None)`` when every n is positive) and an iterator
+    over the rows of draws at them; a row of counts 0 and 1 comes as a
+    bool array.
 
     numpy flips p > 0.5 to p' = 1 - p and returns n - X. While
     n * p' <= 30 it draws X by inversion (Kachitvichyanukul & Schmeiser,
     CACM 31(2), 1988): one uniform per trial with n > 0, walked down the
     probabilities from P(X = 0) = exp(n log q) (``_log_q``); only a walk
     that passes its bound, which needs a uniform within about 1e-16 of 1,
-    takes another. A trial with n = 1 is one comparison with exp(log q);
-    the few with n >= 2 go through ``_inversion``, one group of equal n
-    at a time, and a row where some walk may pass its bound is walked
-    one trial at a time. A row with n * p' > 30 somewhere is left to
-    ``rng.binomial``, as is every row when numpy's log q is not known. A
-    row of counts 0 and 1 comes as a bool array. Temporaries are at most
-    as wide as ``n``.
+    takes another. A trial with n = 0 draws nothing. A trial with n = 1
+    is one comparison with exp(log q); the few with n >= 2 go through
+    ``_inversion``, one group of equal n at a time, and a row where some
+    walk may pass its bound is walked one trial at a time. A row with
+    n * p' > 30 somewhere is left to ``rng.binomial``, as is every row
+    when numpy's log q is not known.
     """
     every = n.all()
-    pos = None if every else np.flatnonzero(n > 0)  # far faster on bools
+    pos = slice(None) if every else np.flatnonzero(n > 0)  # far faster on bools
     n_pos = n if every else n[pos]
-    multi = np.flatnonzero(n_pos > 1)
-    groups = [(k, multi[n_pos[multi] == k]) for k in np.unique(n_pos[multi]).tolist()]
-    n_max = max((k for k, _ in groups), default=1)
-    log_rule = _log_q()
-    u = np.empty(n_pos.size)  # every row's uniforms; one per row raised peak RSS
+    n_max = int(n_pos.max(initial=1))
+    return pos, _draw_rows(rng, n_pos, n_max, probs, u[: n_pos.size])
+
+
+def _draw_rows(rng, n: np.ndarray, n_max: int, probs: list, u: np.ndarray):
+    """``_binomial_rows``' draws for counts ``n`` that are all positive,
+    at most ``n_max``, on the buffer ``u`` of one uniform per count."""
+    groups = []
+    if n_max > 1:
+        multi = np.flatnonzero(n > 1)
+        groups = [(k, multi[n[multi] == k]) for k in np.unique(n[multi]).tolist()]
+    log_rule = _LOG_Q.get(_log_q())
     for p in probs:
         flip = p > 0.5
         pp = 1.0 - p if flip else p
-        if not n_pos.size or p == 0.0:  # nothing to draw
+        if not n.size or p == 0.0:  # nothing to draw
             yield np.zeros(n.size, dtype=np.int64)
             continue
         if log_rule is None or pp * n_max > 30.0:
@@ -256,35 +277,49 @@ def _binomial_rows(rng, n: np.ndarray, probs: list):
         qn = math.exp(log_q)
         rng.random(out=u)
         if u.max() - qn > pp * qn / (1.0 - pp):  # an n = 1 walk may pass its bound
-            x = _walk(rng, n_pos.tolist(), pp, log_q, u.tolist())
+            x = _walk(rng, n.tolist(), pp, log_q, u.tolist())
         elif groups:
             x = (u > qn).astype(np.int64)
             for k, at in groups:
                 x[at] = _inversion(k, pp, log_q, u[at])
             if x[multi].min() < 0:
-                x = _walk(rng, n_pos.tolist(), pp, log_q, u.tolist())
+                x = _walk(rng, n.tolist(), pp, log_q, u.tolist())
         else:
             x = u <= qn if flip else u > qn
             flip = False
-        if flip:
-            x = n_pos - x
-        if every:
-            yield x
-        else:
-            out = np.zeros(n.size, dtype=x.dtype)
-            out[pos] = x
-            yield out
+        yield n - x if flip else x
 
 
-def _still_live(live, counts: np.ndarray):
-    """``live`` and ``counts`` without the trials that hold no copy;
-    ``live`` is ``slice(None)`` while every trial of the block is live,
-    and nothing is re-indexed while every trial stays live."""
-    keep = counts.any(axis=0)
+def _still_live(live, new: np.ndarray, spare: np.ndarray):
+    """``live`` and the copy counts ``new`` without the trials that hold
+    no copy. ``live`` is ``slice(None)`` while every trial of the block
+    is live, and nothing is re-indexed while every trial stays live;
+    otherwise the kept columns are written to the front of the flat
+    buffer ``spare``, and the counts returned are that view."""
+    keep = new.any(axis=0)
     if keep.all():
-        return live, counts
+        return live, new
     kept = np.flatnonzero(keep)
-    return (kept if isinstance(live, slice) else live[kept]), counts.take(kept, axis=1)
+    counts = spare[: new.shape[0] * kept.size].reshape(new.shape[0], kept.size)
+    np.take(new, kept, axis=1, out=counts, mode="clip")  # "raise" would buffer out
+    return (kept if isinstance(live, slice) else live[kept]), counts
+
+
+class _BlockArrays:
+    """The arrays of one block of up to ``width`` trials over ``l``
+    transient states. A worker thread allocates one set per ``simulate``
+    call, and every block it runs zeroes and reuses them, so no block
+    page-faults fresh memory: the uniform buffer, the three per-trial
+    accumulators, two flat ``(l, width)`` copy-count buffers that swap
+    roles when live trials are compacted, and one row for deliveries."""
+
+    def __init__(self, l: int, width: int):
+        self.u = np.empty(width)
+        self.f_cnt = np.empty(width, dtype=np.int64)
+        self.delay_cnt = np.empty(width, dtype=np.int64)
+        self.energy_cnt = np.empty(width, dtype=np.int64)
+        self.counts = tuple(np.empty(l * width, dtype=np.int64) for _ in range(2))
+        self.delivered = np.empty(width, dtype=np.int64)
 
 
 def _simulate_block(
@@ -295,10 +330,13 @@ def _simulate_block(
     Q: np.ndarray,
     D: np.ndarray,
     max_epochs: int,
+    arrays: _BlockArrays | None = None,
 ) -> tuple[np.ndarray, int]:
     """One block of independent trials; returns the moment vector
     (sum f, sum f^2, sum delay, sum delay^2, sum energy, sum energy^2)
-    and the number of truncated trials.
+    and the number of truncated trials. Works in ``arrays`` (at least
+    ``block_n`` wide; fresh ones when None) and zeroes every part of them
+    it reads, so nothing carries over from the block that used them last.
 
     Draw order: each injection makes one ``random`` draw per trial, then
     draws binomials over the trials that sent, for its positive
@@ -315,51 +353,68 @@ def _simulate_block(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block_idx,)))
     )
     l = Q.shape[0]
-    f_cnt = np.zeros(block_n, dtype=np.int64)
-    delay_cnt = np.zeros(block_n, dtype=np.int64)
-    energy_cnt = np.zeros(block_n, dtype=np.int64)
+    if arrays is None:
+        arrays = _BlockArrays(l, block_n)
+    u = arrays.u
+    f_cnt = arrays.f_cnt[:block_n]
+    delay_cnt = arrays.delay_cnt[:block_n]
+    energy_cnt = arrays.energy_cnt[:block_n]
+    for acc in (f_cnt, delay_cnt, energy_cnt):
+        acc.fill(0)
     # copies held per (transient state, trial); one row per state
-    counts = np.zeros((l, block_n), dtype=np.int64)
+    held, spare = arrays.counts
+    new = spare[: l * block_n].reshape(l, block_n)
+    new.fill(0)
 
     for t_src, spawn, direct in injections:
-        sent = np.flatnonzero(rng.random(block_n) < t_src)
-        ones = np.ones(sent.size, dtype=np.int64)
-        if sent.size == block_n:  # every trial sent: no index needed
-            sent = slice(None)
+        sent = rng.random(out=u[:block_n]) < t_src
+        # each trial that sent holds one copy: a read-only view of one 1
+        ones = np.broadcast_to(np.int64(1), np.count_nonzero(sent))
+        # every trial sent (t_src = 1): no index needed
+        sent = slice(None) if ones.size == block_n else np.flatnonzero(sent)
         spawn_rows = np.flatnonzero(spawn > 0.0)
         probs = np.concatenate([direct[direct > 0.0], spawn[spawn_rows]]).tolist()
-        drawn = _binomial_rows(rng, ones, probs)
+        drawn = _draw_rows(rng, ones, 1, probs, u[: ones.size])
         for _ in range(len(probs) - spawn_rows.size):
             f_cnt[sent] += next(drawn)
         for b, spawned in zip(spawn_rows, drawn):
-            counts[b, sent] += spawned
+            new[b, sent] += spawned
 
-    live, counts = _still_live(slice(None), counts)
+    live, counts = _still_live(slice(None), new, held)
+    if counts is new:
+        held, spare = spare, held
     rows = _row_draws(Q, D)
     epoch = 2
     while counts.shape[1] and epoch <= max_epochs:
-        energy_cnt[live] += counts.sum(axis=0)
-        delivered = np.zeros(counts.shape[1], dtype=np.int64)
-        new_counts = np.zeros_like(counts)
+        width = counts.shape[1]
+        delivered = arrays.delivered[:width]
+        energy_cnt[live] += np.sum(counts, axis=0, out=delivered)
+        delivered.fill(0)
+        new = spare[: l * width].reshape(l, width)
+        new.fill(0)
         for a, (probs, n_deliver, q_rows) in enumerate(rows):
-            drawn = _binomial_rows(rng, counts[a], probs)
+            at, drawn = _binomial_rows(rng, counts[a], probs, u)
             for _ in range(n_deliver):
-                delivered += next(drawn)
+                delivered[at] += next(drawn)
             for b, spawned in zip(q_rows, drawn):
-                new_counts[b] += spawned
+                new[b, at] += spawned
         f_cnt[live] += delivered
-        delay_cnt[live] += delivered * (epoch - 1)
-        live, counts = _still_live(live, new_counts)
+        delivered *= epoch - 1
+        delay_cnt[live] += delivered
+        live, counts = _still_live(live, new, held)
+        if counts is new:
+            held, spare = spare, held
         epoch += 1
 
+    # integer products and sums wrap alike, so f @ f is sum(f**2) exactly
     moments = np.array(
         [
             f_cnt.sum(),
-            (f_cnt**2).sum(),
+            f_cnt @ f_cnt,
             delay_cnt.sum(),
-            (delay_cnt**2).sum(),
+            delay_cnt @ delay_cnt,
             energy_cnt.sum(),
-            (energy_cnt**2).sum(),
+            energy_cnt @ energy_cnt,
         ],
         dtype=np.int64,
     )
@@ -390,10 +445,16 @@ def simulate(
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     block_args = [(b, min(BLOCK_SIZE, n - b * BLOCK_SIZE)) for b in range(n_blocks)]
 
+    # One set of block arrays per worker thread; blocks stay dynamically
+    # scheduled by the pool, so a thread that finishes early takes the next.
+    per_thread = threading.local()
+
     def run(arg):
         b, size = arg
+        if not hasattr(per_thread, "arrays"):
+            per_thread.arrays = _BlockArrays(Q.shape[0], min(n, BLOCK_SIZE))
         return _simulate_block(
-            b, size, config.seed, injections, Q, D, config.max_epochs
+            b, size, config.seed, injections, Q, D, config.max_epochs, per_thread.arrays
         )
 
     if config.threads > 1 and n_blocks > 1:

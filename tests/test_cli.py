@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import subprocess
 import sys
 import tempfile
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +25,7 @@ from pareto_relay import (
     solve_chain_closed_form,
 )
 from pareto_relay.cli import main
+from pareto_relay.mc_oracle import _log_q
 from pareto_relay.errors import (
     FlowConservationError,
     HalfDuplexError,
@@ -90,6 +93,12 @@ def test_evaluate_stdout_matches_library(workspace, capsys):
     }
 
 
+def assert_library_versions(manifest):
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["scipy"] == scipy.__version__
+
+
 def test_evaluate_writes_output_and_manifest(workspace, capsys):
     out = workspace["dir"] / "criteria.json"
     assert main(eval_args(workspace, "--output", str(out))) == 0
@@ -102,6 +111,8 @@ def test_evaluate_writes_output_and_manifest(workspace, capsys):
     assert manifest["wall_time_s"] >= 0.0
     digest = hashlib.sha256(workspace["topology"].read_bytes()).hexdigest()
     assert manifest["inputs"][str(workspace["topology"])] == digest
+    assert_library_versions(manifest)
+    assert "binomial_log_rule" not in manifest
 
 
 def test_evaluate_missing_file_exits_1(workspace, capsys):
@@ -180,6 +191,8 @@ def test_search_outputs(workspace, capsys):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["subcommand"] == "search"
     assert manifest["flags"]["seed"] == 0
+    assert_library_versions(manifest)
+    assert "binomial_log_rule" not in manifest
 
 
 def test_search_reruns_are_byte_identical(workspace, capsys):
@@ -296,6 +309,10 @@ def test_oracle_output_and_manifest(workspace, capsys):
     assert manifest["subcommand"] == "oracle"
     assert manifest["flags"]["packets"] == 2000
     assert manifest["flags"]["seed"] == 11
+    assert_library_versions(manifest)
+    # the rule the oracle found for numpy's binomial P(X = 0)
+    assert manifest["binomial_log_rule"] == _log_q()
+    assert manifest["binomial_log_rule"] in ("log1p", "log", None)
 
 
 def test_oracle_infeasible_exit_2(workspace, capsys):

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,6 +346,83 @@ def test_simulate_block_matches_reference(case, block_n):
     reaches_path(injections, Q, D, results)
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_reused_block_arrays_carry_nothing_over(monkeypatch, case, threads):
+    """Each worker thread reuses one set of block arrays for all its
+    blocks. With 1000-trial blocks and a short last one, simulate's
+    moments and truncated count are the per-block sums of the reference
+    loop, which allocates fresh arrays for every block."""
+    fixture, max_epochs, reaches_path = BLOCK_CASES[case]
+    spec, tau, P, X, _ = fixture()
+    injections = _injections(tau, X, P, spec)
+    Q = build_relaying_matrix(X, tau, P)
+    D = build_arrival_matrix(tau, P, spec)
+    n, seed = 20_500, 5
+    want = np.zeros(6, dtype=np.int64)
+    want_truncated = 0
+    for b in range(-(-n // 1000)):  # the last block holds 500 trials
+        m, t = _simulate_block_reference(
+            b, min(1000, n - 1000 * b), seed, injections, Q, D, max_epochs
+        )
+        want += m
+        want_truncated += t
+    reaches_path(injections, Q, D, [(want, want_truncated)])
+
+    monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 1000)
+    moments = []
+    estimate = mc_oracle._estimate
+    monkeypatch.setattr(
+        mc_oracle, "_estimate", lambda *a: moments.extend(a[:2]) or estimate(*a)
+    )
+    config = SimConfig(n_packets=n, seed=seed, max_epochs=max_epochs, threads=threads)
+    got = simulate(tau, X, spec, config, channel=P)
+    assert moments == want.tolist()
+    assert got.truncated == want_truncated
+
+
+# Prints the minor page faults of a 2-block and a 16-block simulate call
+# at threads 1, after one warm-up call.
+FAULTS_CHILD = """
+import json, resource
+from pareto_relay import SimConfig, mc_oracle, simulate
+from test_mc_oracle import single_relay_fixture
+spec, tau, P, X, _ = single_relay_fixture()
+
+def faults(blocks):
+    config = SimConfig(n_packets=blocks * mc_oracle.BLOCK_SIZE, seed=0)
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    simulate(tau, X, spec, config, channel=P)
+    return resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+
+faults(2)
+print(json.dumps([faults(2), faults(16)]))
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads Linux's per-thread ru_minflt"
+)
+def test_block_arrays_are_not_faulted_in_per_block():
+    """A call allocates its block arrays once, not once per block: a
+    16-block call takes no more minor page faults than a 2-block one plus
+    a slack of 64 pages (256 KiB) for each extra block. Arrays freed at
+    the end of each block go back to the kernel and are faulted in again
+    by the next, over 800 pages a block on this fixture. The calls run in
+    a fresh interpreter: inside the test process, the heap that earlier
+    tests leave behind can hide the re-faulting."""
+    tests = Path(__file__).resolve().parent
+    src = Path(mc_oracle.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULTS_CHILD],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": f"{src}{os.pathsep}{tests}", "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    two, sixteen = json.loads(proc.stdout)
+    assert sixteen <= two + 14 * 64, (two, sixteen)
+
+
 def _first_uniform(u: float) -> np.random.Generator:
     """A generator whose first uniform is ``u`` (a multiple of 2^-53):
     SFC64's first output is a + b + counter of its state words
@@ -368,7 +450,19 @@ def _numpy_threshold(n: int, p: float) -> float:
 
 
 def _assert_rows_match_numpy(ours, theirs, n, probs):
-    got = [np.asarray(x) for x in _binomial_rows(ours, np.asarray(n, dtype=np.int64), probs)]
+    n = np.asarray(n, dtype=np.int64)
+    # a buffer longer than n, filled with junk, as a reused one would be
+    u = np.full(n.size + 3, 2.0)
+    pos, drawn = _binomial_rows(ours, n, probs, u)
+    got = []
+    for x in drawn:
+        x = np.asarray(x)
+        assert x.shape == n[pos].shape
+        # scattered back into a dense row: zero where n = 0
+        dense = np.zeros(n.size, dtype=np.int64)
+        dense[pos] = x
+        got.append(dense)
+    assert np.array_equal(np.arange(n.size)[pos], np.flatnonzero(n > 0))
     want = [theirs.binomial(n, p) for p in probs]
     assert len(got) == len(want)
     for g, w in zip(got, want):
