@@ -17,7 +17,6 @@ import hashlib
 import json
 import math
 import os
-import platform
 import sys
 import time
 from pathlib import Path
@@ -119,7 +118,7 @@ def _manifest(
     manifest = {
         "tool": "pareto-relay",
         "version": __version__,
-        "python": platform.python_version(),
+        "python": "%d.%d.%d" % sys.version_info[:3],
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "subcommand": subcommand,

@@ -252,13 +252,13 @@ def _binomial_rows(rng, n: np.ndarray, probs: list, u: np.ndarray):
     every = n.all()
     pos = slice(None) if every else np.flatnonzero(n > 0)  # far faster on bools
     n_pos = n if every else n[pos]
-    n_max = int(n_pos.max(initial=1))
-    return pos, _draw_rows(rng, n_pos, n_max, probs, u[: n_pos.size])
+    return pos, _draw_rows(rng, n_pos, probs, u[: n_pos.size])
 
 
-def _draw_rows(rng, n: np.ndarray, n_max: int, probs: list, u: np.ndarray):
+def _draw_rows(rng, n: np.ndarray, probs: list, u: np.ndarray):
     """``_binomial_rows``' draws for counts ``n`` that are all positive,
-    at most ``n_max``, on the buffer ``u`` of one uniform per count."""
+    on the buffer ``u`` of one uniform per count."""
+    n_max = int(n.max(initial=1))
     groups = []
     if n_max > 1:
         multi = np.flatnonzero(n > 1)
@@ -290,19 +290,21 @@ def _draw_rows(rng, n: np.ndarray, n_max: int, probs: list, u: np.ndarray):
         yield n - x if flip else x
 
 
-def _still_live(live, new: np.ndarray, spare: np.ndarray):
-    """``live`` and the copy counts ``new`` without the trials that hold
-    no copy. ``live`` is ``slice(None)`` while every trial of the block
-    is live, and nothing is re-indexed while every trial stays live;
-    otherwise the kept columns are written to the front of the flat
-    buffer ``spare``, and the counts returned are that view."""
+def _still_live(live, new: np.ndarray, held: np.ndarray, spare: np.ndarray):
+    """``live`` and the copy counts ``new``, a view of the flat buffer
+    ``spare``, without the trials that hold no copy, then the two flat
+    buffers in the order (holding the counts, free). ``live`` is
+    ``slice(None)`` while every trial of the block is live, and nothing
+    is re-indexed while every trial stays live; otherwise the kept
+    columns are written to the front of ``held``, whose counts are no
+    longer needed, and the counts returned are that view."""
     keep = new.any(axis=0)
     if keep.all():
-        return live, new
+        return live, new, spare, held
     kept = np.flatnonzero(keep)
-    counts = spare[: new.shape[0] * kept.size].reshape(new.shape[0], kept.size)
+    counts = held[: new.shape[0] * kept.size].reshape(new.shape[0], kept.size)
     np.take(new, kept, axis=1, out=counts, mode="clip")  # "raise" would buffer out
-    return (kept if isinstance(live, slice) else live[kept]), counts
+    return (kept if isinstance(live, slice) else live[kept]), counts, held, spare
 
 
 class _BlockArrays:
@@ -330,13 +332,13 @@ def _simulate_block(
     Q: np.ndarray,
     D: np.ndarray,
     max_epochs: int,
-    arrays: _BlockArrays | None = None,
+    arrays: _BlockArrays,
 ) -> tuple[np.ndarray, int]:
     """One block of independent trials; returns the moment vector
     (sum f, sum f^2, sum delay, sum delay^2, sum energy, sum energy^2)
     and the number of truncated trials. Works in ``arrays`` (at least
-    ``block_n`` wide; fresh ones when None) and zeroes every part of them
-    it reads, so nothing carries over from the block that used them last.
+    ``block_n`` wide) and zeroes every part of them it reads, so nothing
+    carries over from the block that used them last.
 
     Draw order: each injection makes one ``random`` draw per trial, then
     draws binomials over the trials that sent, for its positive
@@ -353,8 +355,6 @@ def _simulate_block(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block_idx,)))
     )
     l = Q.shape[0]
-    if arrays is None:
-        arrays = _BlockArrays(l, block_n)
     u = arrays.u
     f_cnt = arrays.f_cnt[:block_n]
     delay_cnt = arrays.delay_cnt[:block_n]
@@ -374,15 +374,13 @@ def _simulate_block(
         sent = slice(None) if ones.size == block_n else np.flatnonzero(sent)
         spawn_rows = np.flatnonzero(spawn > 0.0)
         probs = np.concatenate([direct[direct > 0.0], spawn[spawn_rows]]).tolist()
-        drawn = _draw_rows(rng, ones, 1, probs, u[: ones.size])
+        _, drawn = _binomial_rows(rng, ones, probs, u)
         for _ in range(len(probs) - spawn_rows.size):
             f_cnt[sent] += next(drawn)
         for b, spawned in zip(spawn_rows, drawn):
             new[b, sent] += spawned
 
-    live, counts = _still_live(slice(None), new, held)
-    if counts is new:
-        held, spare = spare, held
+    live, counts, held, spare = _still_live(slice(None), new, held, spare)
     rows = _row_draws(Q, D)
     epoch = 2
     while counts.shape[1] and epoch <= max_epochs:
@@ -401,9 +399,7 @@ def _simulate_block(
         f_cnt[live] += delivered
         delivered *= epoch - 1
         delay_cnt[live] += delivered
-        live, counts = _still_live(live, new, held)
-        if counts is new:
-            held, spare = spare, held
+        live, counts, held, spare = _still_live(live, new, held, spare)
         epoch += 1
 
     # integer products and sums wrap alike, so f @ f is sum(f**2) exactly

@@ -2,7 +2,6 @@ import contextlib
 import hashlib
 import io
 import json
-import platform
 import subprocess
 import sys
 import tempfile
@@ -94,7 +93,7 @@ def test_evaluate_stdout_matches_library(workspace, capsys):
 
 
 def assert_library_versions(manifest):
-    assert manifest["python"] == platform.python_version()
+    assert manifest["python"] == ".".join(map(str, sys.version_info[:3]))
     assert manifest["numpy"] == np.__version__
     assert manifest["scipy"] == scipy.__version__
 

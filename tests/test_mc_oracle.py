@@ -338,7 +338,8 @@ def test_simulate_block_matches_reference(case, block_n):
     injections, Q, D = _block_inputs(fixture)
     results = []
     for seed in (0, 1, 7, 123):
-        got = _simulate_block(0, block_n, seed, injections, Q, D, max_epochs)
+        arrays = mc_oracle._BlockArrays(Q.shape[0], block_n)
+        got = _simulate_block(0, block_n, seed, injections, Q, D, max_epochs, arrays)
         want = _simulate_block_reference(0, block_n, seed, injections, Q, D, max_epochs)
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
