@@ -38,9 +38,11 @@ from .rates import check_flow_conservation, check_half_duplex
 
 # The random-draw granularity: every block of BLOCK_SIZE trials owns an
 # independent generator derived from (seed, block index), so results are
-# identical no matter how blocks are scheduled across threads. It also
-# sets the width of the arrays each worker thread reuses for its blocks
-# (``_BlockArrays``, about (2l + 5) * BLOCK_SIZE * 8 bytes).
+# identical no matter how blocks are scheduled across threads or which
+# blocks share a worker's pool. It also sizes each worker thread's arrays
+# (``_Pool``): a pool of BLOCK_SIZE // 2 live trials, about
+# (2l + 9) * BLOCK_SIZE * 4 bytes for l transient states, plus one block's
+# uniforms and injection buffer, about (l + 9) * BLOCK_SIZE bytes.
 BLOCK_SIZE = 65_536
 
 
@@ -63,6 +65,8 @@ class SimConfig:
             raise ValueError("max_epochs must be >= 1")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie strictly between 0 and 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -228,14 +232,15 @@ def _walk(rng, n: list, p: float, log_q: float, u: list) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _binomial_rows(rng, n: np.ndarray, probs: list, u: np.ndarray):
-    """``rng.binomial(n, p)`` for each p of ``probs`` in turn, at the
-    trials with n > 0: the same values, leaving ``rng`` in the same
-    state, from one ``rng.random`` fill per p of the caller's buffer
-    ``u`` (at least as long as ``n``). Returns the positions of those
-    trials (``slice(None)`` when every n is positive) and an iterator
-    over the rows of draws at them; a row of counts 0 and 1 comes as a
-    bool array.
+def _binomial_rows(rngs: list, starts: np.ndarray, n: np.ndarray, probs: list, u: np.ndarray):
+    """For each p of ``probs`` in turn, ``rng.binomial(n[s:e], p)`` on
+    each segment [s, e) of ``n`` that ``starts`` cut out (the first at 0),
+    with the segment's own generator of ``rngs``, at the trials with n > 0:
+    the same values, leaving every generator in the same state, from one
+    ``rng.random`` fill per p and segment of the caller's buffer ``u`` (at
+    least as long as ``n``). Returns the positions of those trials
+    (``slice(None)`` when every n is positive) and an iterator over the
+    rows of draws at them; a row of counts 0 and 1 comes as a bool array.
 
     numpy flips p > 0.5 to p' = 1 - p and returns n - X. While
     n * p' <= 30 it draws X by inversion (Kachitvichyanukul & Schmeiser,
@@ -244,20 +249,23 @@ def _binomial_rows(rng, n: np.ndarray, probs: list, u: np.ndarray):
     that passes its bound, which needs a uniform within about 1e-16 of 1,
     takes another. A trial with n = 0 draws nothing. A trial with n = 1
     is one comparison with exp(log q); the few with n >= 2 go through
-    ``_inversion``, one group of equal n at a time, and a row where some
-    walk may pass its bound is walked one trial at a time. A row with
-    n * p' > 30 somewhere is left to ``rng.binomial``, as is every row
-    when numpy's log q is not known.
+    ``_inversion``, one group of equal n at a time, and a segment where
+    some walk may pass its bound is walked one trial at a time. A segment
+    with n * p' > 30 somewhere is left to ``rng.binomial``, as is every
+    segment when numpy's log q is not known.
     """
     every = n.all()
     pos = slice(None) if every else np.flatnonzero(n > 0)  # far faster on bools
     n_pos = n if every else n[pos]
-    return pos, _draw_rows(rng, n_pos, probs, u[: n_pos.size])
+    cuts = (starts if every else np.searchsorted(pos, starts)).tolist() + [n_pos.size]
+    segments = list(zip(rngs, cuts, cuts[1:]))
+    return pos, _draw_rows(segments, n_pos, probs, u[: n_pos.size])
 
 
-def _draw_rows(rng, n: np.ndarray, probs: list, u: np.ndarray):
+def _draw_rows(segments: list, n: np.ndarray, probs: list, u: np.ndarray):
     """``_binomial_rows``' draws for counts ``n`` that are all positive,
-    on the buffer ``u`` of one uniform per count."""
+    on the buffer ``u`` of one uniform per count; ``segments`` holds
+    (generator, start, end) per consecutive segment of ``n``."""
     n_max = int(n.max(initial=1))
     groups = []
     if n_max > 1:
@@ -271,150 +279,222 @@ def _draw_rows(rng, n: np.ndarray, probs: list, u: np.ndarray):
             yield np.zeros(n.size, dtype=np.int64)
             continue
         if log_rule is None or pp * n_max > 30.0:
-            yield rng.binomial(n, p)
+            if len(segments) == 1:
+                yield segments[0][0].binomial(n, p)
+            else:  # each segment decides alone, as its own call would
+                yield np.concatenate([
+                    next(_draw_rows([(rng, 0, e - s)], n[s:e], [p], u[s:e]))
+                    for rng, s, e in segments
+                ])
             continue
         log_q = log_rule(pp)
         qn = math.exp(log_q)
-        rng.random(out=u)
-        if u.max() - qn > pp * qn / (1.0 - pp):  # an n = 1 walk may pass its bound
-            x = _walk(rng, n.tolist(), pp, log_q, u.tolist())
-        elif groups:
+        for rng, s, e in segments:
+            if e > s:
+                rng.random(out=u[s:e])
+        passes = pp * qn / (1.0 - pp)  # an n = 1 walk from u passes its bound
+        redraw = u.max() - qn > passes
+        if groups:
             x = (u > qn).astype(np.int64)
             for k, at in groups:
                 x[at] = _inversion(k, pp, log_q, u[at])
-            if x[multi].min() < 0:
-                x = _walk(rng, n.tolist(), pp, log_q, u.tolist())
+            redraw = redraw or x[multi].min() < 0
+        elif flip and not redraw:
+            x, flip = u <= qn, False
         else:
-            x = u <= qn if flip else u > qn
-            flip = False
+            x = u > qn
+        if redraw:
+            for rng, s, e in segments:
+                if e > s and (u[s:e].max() - qn > passes or x[s:e].min() < 0):
+                    x[s:e] = _walk(rng, n[s:e].tolist(), pp, log_q, u[s:e].tolist())
         yield n - x if flip else x
 
 
-def _still_live(live, new: np.ndarray, held: np.ndarray, spare: np.ndarray):
-    """``live`` and the copy counts ``new``, a view of the flat buffer
-    ``spare``, without the trials that hold no copy, then the two flat
-    buffers in the order (holding the counts, free). ``live`` is
-    ``slice(None)`` while every trial of the block is live, and nothing
-    is re-indexed while every trial stays live; otherwise the kept
-    columns are written to the front of ``held``, whose counts are no
-    longer needed, and the counts returned are that view."""
-    keep = new.any(axis=0)
-    if keep.all():
-        return live, new, spare, held
-    kept = np.flatnonzero(keep)
-    counts = held[: new.shape[0] * kept.size].reshape(new.shape[0], kept.size)
-    np.take(new, kept, axis=1, out=counts, mode="clip")  # "raise" would buffer out
-    return (kept if isinstance(live, slice) else live[kept]), counts, held, spare
+class _Pool:
+    """One worker thread's live trials, from every block it has taken,
+    advanced one epoch at a time together.
 
-
-class _BlockArrays:
-    """The arrays of one block of up to ``width`` trials over ``l``
-    transient states. A worker thread allocates one set per ``simulate``
-    call, and every block it runs zeroes and reuses them, so no block
-    page-faults fresh memory: the uniform buffer, the three per-trial
-    accumulators, two flat ``(l, width)`` copy-count buffers that swap
-    roles when live trials are compacted, and one row for deliveries."""
-
-    def __init__(self, l: int, width: int):
-        self.u = np.empty(width)
-        self.f_cnt = np.empty(width, dtype=np.int64)
-        self.delay_cnt = np.empty(width, dtype=np.int64)
-        self.energy_cnt = np.empty(width, dtype=np.int64)
-        self.counts = tuple(np.empty(l * width, dtype=np.int64) for _ in range(2))
-        self.delivered = np.empty(width, dtype=np.int64)
-
-
-def _simulate_block(
-    block_idx: int,
-    block_n: int,
-    seed: int,
-    injections,
-    Q: np.ndarray,
-    D: np.ndarray,
-    max_epochs: int,
-    arrays: _BlockArrays,
-) -> tuple[np.ndarray, int]:
-    """One block of independent trials; returns the moment vector
-    (sum f, sum f^2, sum delay, sum delay^2, sum energy, sum energy^2)
-    and the number of truncated trials. Works in ``arrays`` (at least
-    ``block_n`` wide) and zeroes every part of them it reads, so nothing
-    carries over from the block that used them last.
-
-    Draw order: each injection makes one ``random`` draw per trial, then
-    draws binomials over the trials that sent, for its positive
-    direct-delivery probabilities and then its positive spawn
-    probabilities. Each epoch then draws, for each transient state a in
-    turn, binomials over the live trials (those still holding a copy) for
-    the positive entries of D[a] and then of Q[a]. The stream is numpy's
-    binomial stream of one call per probability over the whole block
-    (a trial with n = 0 draws nothing), reproduced by ``_binomial_rows``
-    from one uniform per trial; tier-1 checks it against the installed
-    numpy's ``Generator.binomial``.
+    A block is injected at full width into ``injected`` (copies per
+    transient state, then f), and its trials that hold a copy join as one
+    run of consecutive columns with the block's own generator. Each
+    column holds a trial's copy counts (``counts``) and its f, delay,
+    energy and weight = epoch - 1 (``acc``); runs join in order, so the
+    weight never rises along the columns. A trial that holds no copy
+    leaves, and its f, delay and energy go into the int64 ``moments``
+    (sum f, sum f^2, sum delay, sum delay^2, sum energy, sum energy^2),
+    whose sums do not depend on the order, wrap-around included. The
+    pool holds half a block and grows to a whole one, once, for a block
+    whose live trials do not fit it empty.
     """
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block_idx,)))
-    )
-    l = Q.shape[0]
-    u = arrays.u
-    f_cnt = arrays.f_cnt[:block_n]
-    delay_cnt = arrays.delay_cnt[:block_n]
-    energy_cnt = arrays.energy_cnt[:block_n]
-    for acc in (f_cnt, delay_cnt, energy_cnt):
-        acc.fill(0)
-    # copies held per (transient state, trial); one row per state
-    held, spare = arrays.counts
-    new = spare[: l * block_n].reshape(l, block_n)
-    new.fill(0)
 
-    for t_src, spawn, direct in injections:
-        sent = rng.random(out=u[:block_n]) < t_src
-        # each trial that sent holds one copy: a read-only view of one 1
-        ones = np.broadcast_to(np.int64(1), np.count_nonzero(sent))
-        # every trial sent (t_src = 1): no index needed
-        sent = slice(None) if ones.size == block_n else np.flatnonzero(sent)
-        spawn_rows = np.flatnonzero(spawn > 0.0)
-        probs = np.concatenate([direct[direct > 0.0], spawn[spawn_rows]]).tolist()
-        _, drawn = _binomial_rows(rng, ones, probs, u)
-        for _ in range(len(probs) - spawn_rows.size):
-            f_cnt[sent] += next(drawn)
-        for b, spawned in zip(spawn_rows, drawn):
-            new[b, sent] += spawned
+    def __init__(self, injections, Q: np.ndarray, D: np.ndarray, width: int, max_epochs: int):
+        self.rows = _row_draws(Q, D)
+        self.injections = []
+        for t_src, spawn, direct in injections:
+            spawn_rows = np.flatnonzero(spawn > 0.0)
+            probs = np.concatenate([direct[direct > 0.0], spawn[spawn_rows]]).tolist()
+            self.injections.append((t_src, probs, len(probs) - spawn_rows.size, spawn_rows))
+        # no entry of the injection buffer exceeds the draws per trial
+        draws = sum(len(probs) for _, probs, _, _ in self.injections)
+        self.injected = np.empty((len(self.rows) + 1, width), np.int8 if draws < 128 else np.int64)
+        self.u = np.empty(width)
+        self.max_epochs = max_epochs
+        self.moments = np.zeros(6, dtype=np.int64)
+        self.truncated = 0
+        self.width = 0
+        self.rngs, self.starts = [], np.zeros(0, dtype=np.int64)
+        self._allocate(width // 2)
 
-    live, counts, held, spare = _still_live(slice(None), new, held, spare)
-    rows = _row_draws(Q, D)
-    epoch = 2
-    while counts.shape[1] and epoch <= max_epochs:
-        width = counts.shape[1]
-        delivered = arrays.delivered[:width]
-        energy_cnt[live] += np.sum(counts, axis=0, out=delivered)
+    def _allocate(self, capacity: int) -> None:
+        """Empty arrays for ``capacity`` trials, each array with a spare
+        that takes the columns kept when trials leave. They are allocated
+        one by one: glibc keeps free up to twice the largest block it has
+        unmapped, so one larger allocation raises the memory later calls
+        hold."""
+        self.capacity = capacity
+        l = len(self.rows)
+        self.counts, self.spare = (np.empty((l, capacity), dtype=np.int64) for _ in range(2))
+        self.acc, self.spare_acc = (np.empty((4, capacity), dtype=np.int64) for _ in range(2))
+        self.delivered = np.empty(capacity, dtype=np.int64)
+
+    def inject(self, rng, block_n: int) -> np.ndarray:
+        """Draws the injections of a block of ``block_n`` trials into
+        ``injected``; returns the positions of the trials that hold a copy.
+
+        Each injection makes one ``random`` draw per trial (a source that
+        always sends advances the generator past them instead), then
+        draws binomials over the trials that sent, for its positive
+        direct-delivery probabilities and then its positive spawn
+        probabilities.
+        """
+        l = len(self.rows)
+        block = self.injected[:, :block_n]
+        block.fill(0)
+        for t_src, probs, n_direct, spawn_rows in self.injections:
+            if t_src >= 1.0:  # every uniform is below 1; a double is one output
+                rng.bit_generator.advance(block_n)
+                sent = slice(None)
+                m = block_n
+            else:
+                sent = rng.random(out=self.u[:block_n]) < t_src
+                m = np.count_nonzero(sent)
+                # every trial sent: no index needed
+                sent = slice(None) if m == block_n else np.flatnonzero(sent)
+            # each trial that sent holds one copy: a read-only view of one 1
+            ones = np.broadcast_to(np.int64(1), m)
+            drawn = _draw_rows([(rng, 0, ones.size)], ones, probs, self.u[: ones.size])
+            for _ in range(n_direct):
+                block[l, sent] += next(drawn)
+            for b, spawned in zip(spawn_rows, drawn):
+                block[b, sent] += spawned
+        return np.flatnonzero(block[:l].any(axis=0))
+
+    def join(self, rng, block_n: int, live: np.ndarray) -> None:
+        """Appends the injected trials ``live`` as a run and settles the f
+        of the block's other trials."""
+        l, w, k = len(self.rows), self.width, live.size
+        f = self.injected[l, :block_n]
+        # sum f is the sum over v >= 1 of #(f >= v), sum f^2 that of
+        # (2v - 1) #(f >= v); f takes a few small values
+        for v in range(1, int(f.max()) + 1):
+            at_least = np.count_nonzero(f >= v)
+            self.moments[:2] += at_least, (2 * v - 1) * at_least
+        if not k:
+            return
+        for src, dst in zip(self.injected, [*self.counts, self.acc[0]]):
+            dst[w : w + k] = src[live]
+        self.acc[1:3, w : w + k] = 0
+        self.acc[3, w : w + k] = 1
+        f = self.acc[0, w : w + k]  # the joining trials settle when they leave
+        self.moments[:2] -= f.sum(), f @ f
+        self.rngs.append(rng)
+        self.starts = np.append(self.starts, w)
+        self.width += k
+
+    def step(self) -> None:
+        """Advances every run by one epoch; the trials of runs past
+        ``max_epochs`` first leave as truncated.
+
+        Each run draws what its block's epoch draws alone: for each
+        transient state a in turn, binomials over its trials that hold a
+        copy at a, for the positive entries of D[a] and then of Q[a].
+        """
+        weight = self.acc[3, : self.width]
+        if self.width and weight[0] >= self.max_epochs:
+            keep = weight < self.max_epochs
+            self.truncated += self.width - np.count_nonzero(keep)
+            self._compact(keep)
+        w = self.width
+        if not w:
+            return
+        counts, new = self.counts[:, :w], self.spare[:, :w]
+        f, delay, energy, weight = self.acc[:, :w]
+        delivered = self.delivered[:w]
+        energy += np.sum(counts, axis=0, out=delivered)
         delivered.fill(0)
-        new = spare[: l * width].reshape(l, width)
         new.fill(0)
-        for a, (probs, n_deliver, q_rows) in enumerate(rows):
-            at, drawn = _binomial_rows(rng, counts[a], probs, u)
+        for a, (probs, n_deliver, q_rows) in enumerate(self.rows):
+            at, drawn = _binomial_rows(self.rngs, self.starts, counts[a], probs, self.u)
             for _ in range(n_deliver):
                 delivered[at] += next(drawn)
             for b, spawned in zip(q_rows, drawn):
                 new[b, at] += spawned
-        f_cnt[live] += delivered
-        delivered *= epoch - 1
-        delay_cnt[live] += delivered
-        live, counts, held, spare = _still_live(live, new, held, spare)
-        epoch += 1
+        f += delivered
+        delivered *= weight
+        delay += delivered
+        weight += 1
+        self.counts, self.spare = self.spare, self.counts
+        keep = new.any(axis=0)
+        if not keep.all():
+            self._compact(keep)
 
-    # integer products and sums wrap alike, so f @ f is sum(f**2) exactly
-    moments = np.array(
-        [
-            f_cnt.sum(),
-            f_cnt @ f_cnt,
-            delay_cnt.sum(),
-            delay_cnt @ delay_cnt,
-            energy_cnt.sum(),
-            energy_cnt @ energy_cnt,
-        ],
-        dtype=np.int64,
-    )
-    return moments, counts.shape[1]
+    def _compact(self, keep: np.ndarray) -> None:
+        """Settles the trials outside ``keep`` and moves the others to the
+        front of the spare arrays, which become the pool's."""
+        w = self.width
+        kept = np.flatnonzero(keep)
+        gone = np.flatnonzero(~keep)
+        k, m = kept.size, gone.size
+        # "raise" would buffer out
+        left = np.take(self.acc[:3, :w], gone, axis=1, mode="clip",
+                       out=self.spare_acc.reshape(-1)[: 3 * m].reshape(3, m))
+        self.moments[0::2] += left.sum(axis=1)
+        self.moments[1::2] += np.einsum("ij,ij->i", left, left)
+        for src, dst in zip([*self.counts, *self.acc], [*self.spare, *self.spare_acc]):
+            np.take(src[:w], kept, out=dst[:k], mode="clip")
+        self.counts, self.spare = self.spare, self.counts
+        self.acc, self.spare_acc = self.spare_acc, self.acc
+        starts = np.searchsorted(kept, self.starts)
+        held = starts < np.append(starts[1:], k)
+        self.rngs = list(itertools.compress(self.rngs, held.tolist()))
+        self.starts = starts[held]
+        self.width = k
+
+
+def _work(take_block, seed: int, n: int, injections, Q, D, max_epochs: int):
+    """Runs the blocks that ``take_block()`` hands out, until it returns
+    None, through one ``_Pool`` allocated at the first; returns the
+    moments and the number of truncated trials."""
+    pool = None
+    while (b := take_block()) is not None:
+        if pool is None:
+            pool = _Pool(injections, Q, D, min(n, BLOCK_SIZE), max_epochs)
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+        )
+        block_n = min(BLOCK_SIZE, n - b * BLOCK_SIZE)
+        live = pool.inject(rng, block_n)
+        while pool.width + live.size > pool.capacity:
+            if not pool.width:
+                pool._allocate(pool.u.size)
+                break
+            pool.step()
+        pool.join(rng, block_n, live)
+    if pool is None:
+        return np.zeros(6, dtype=np.int64), 0
+    while pool.width:
+        pool.step()
+    return pool.moments, pool.truncated
 
 
 def simulate(
@@ -428,8 +508,9 @@ def simulate(
     """Estimate f, f_D and f_E from ``config.n_packets`` independent trials.
 
     Gates the strategy with :func:`check_strategy`, as ``evaluate`` does,
-    then runs the branching process in blocks of ``BLOCK_SIZE`` trials.
-    Deterministic per seed and independent of ``config.threads``.
+    then runs the branching process in blocks of ``BLOCK_SIZE`` trials on
+    ``min(config.threads, blocks)`` worker threads, each with its own
+    ``_Pool``. Deterministic per seed and independent of ``config.threads``.
     """
     channel = check_strategy(tau, spec, channel, X, tolerance)
 
@@ -439,25 +520,23 @@ def simulate(
 
     n = config.n_packets
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    block_args = [(b, min(BLOCK_SIZE, n - b * BLOCK_SIZE)) for b in range(n_blocks)]
+    # Blocks go to the workers in index order as each asks for one; the
+    # moments are integer sums, so which worker runs a block does not matter.
+    blocks = iter(range(n_blocks))
+    lock = threading.Lock()
 
-    # One set of block arrays per worker thread; blocks stay dynamically
-    # scheduled by the pool, so a thread that finishes early takes the next.
-    per_thread = threading.local()
+    def take_block():
+        with lock:
+            return next(blocks, None)
 
-    def run(arg):
-        b, size = arg
-        if not hasattr(per_thread, "arrays"):
-            per_thread.arrays = _BlockArrays(Q.shape[0], min(n, BLOCK_SIZE))
-        return _simulate_block(
-            b, size, config.seed, injections, Q, D, config.max_epochs, per_thread.arrays
-        )
-
-    if config.threads > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(run, block_args))
+    args = (take_block, config.seed, n, injections, Q, D, config.max_epochs)
+    workers = min(config.threads, n_blocks)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as executor:
+            futures = [executor.submit(_work, *args) for _ in range(workers)]
+            results = [future.result() for future in futures]
     else:
-        results = [run(arg) for arg in block_args]
+        results = [_work(*args)]
 
     moments = np.zeros(6, dtype=np.int64)
     truncated = 0

@@ -365,6 +365,13 @@ def test_threads_env_variable(workspace, capsys, monkeypatch):
     monkeypatch.delenv("PARETO_RELAY_THREADS")
     assert main(oracle_args(workspace, "--threads", "1")) == 0
     assert capsys.readouterr().out == with_env
+    # a thread count below 1 runs on one thread, which SimConfig would refuse
+    for threads in ("0", "-3"):
+        assert main(oracle_args(workspace, "--threads", threads)) == 0
+        assert capsys.readouterr().out == with_env
+    monkeypatch.setenv("PARETO_RELAY_THREADS", "0")
+    assert main(oracle_args(workspace)) == 0
+    assert capsys.readouterr().out == with_env
     monkeypatch.setenv("PARETO_RELAY_THREADS", "banana")
     assert main(oracle_args(workspace)) == 1
     assert "PARETO_RELAY_THREADS" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ from pareto_relay.mc_oracle import (
     _binomial_rows,
     _injections,
     _log_q,
-    _simulate_block,
 )
 from pareto_relay.steady_state import build_arrival_matrix, build_relaying_matrix
 
@@ -105,6 +105,29 @@ def multi_fixture():
     return spec, tau, P, X, evaluate(tau, X, spec, channel=P)
 
 
+def parallel_relays_fixture():
+    """The source reaches two relays with certainty, each forwarding at
+    rate 0.45, so about 70% of trials hold a copy after injection: more
+    than the half block a worker's pool holds."""
+    spec = make_spec(
+        [
+            (1, "source", 0, 0),
+            (2, "relay", 1, 1),
+            (3, "relay", 1, -1),
+            (4, "destination", 2, 0),
+        ],
+        slots=2,
+    )
+    tau = rate_matrix(spec, [[0.0, 0.45], [0.0, 0.45]], [[1.0, 0.0]])
+    P = injected_channel(
+        4,
+        2,
+        {(1, 2, 1): 1.0, (1, 3, 1): 1.0, (1, 4, 1): 0.1, (2, 4, 2): 0.7, (3, 4, 2): 0.7},
+    )
+    X = solve_chain_closed_form(tau, P, spec)
+    return spec, tau, P, X, evaluate(tau, X, spec, channel=P)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -114,6 +137,8 @@ def multi_fixture():
         {"n_packets": 10, "seed": 0, "confidence": 1.0},
         {"n_packets": 10, "seed": 0, "confidence": float("nan")},
         {"n_packets": 10, "seed": -1},
+        {"n_packets": 10, "seed": 0, "threads": 0},
+        {"n_packets": 10, "seed": 0, "threads": -2},
     ],
 )
 def test_config_validation(kwargs):
@@ -145,14 +170,22 @@ def test_same_seed_reproducible():
 
 
 def test_thread_count_invariance(monkeypatch):
+    """More workers than cores, switching threads every microsecond, take
+    each of the 20 blocks exactly once: a block lost or run twice would
+    change the moments."""
     spec, tau, P, X, _ = single_relay_fixture()
     monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 1000)
     serial = simulate(
         tau, X, spec, SimConfig(n_packets=20_000, seed=3, threads=1), channel=P
     )
-    parallel = simulate(
-        tau, X, spec, SimConfig(n_packets=20_000, seed=3, threads=4), channel=P
-    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = simulate(
+            tau, X, spec, SimConfig(n_packets=20_000, seed=3, threads=4), channel=P
+        )
+    finally:
+        sys.setswitchinterval(interval)
     assert serial == parallel
 
 
@@ -320,26 +353,42 @@ def _assert_truncated(injections, Q, D, results):
     assert all(t > 0 for _, t in results)
 
 
+def _assert_injection_only(injections, Q, D, results):
+    # every copy a relay holds is truncated before it is sent on
+    assert all(t > 0 and m[2] == m[4] == 0 for m, t in results)
+
+
+def _assert_overflows(injections, Q, D, results):
+    # one sure source; a trial holds no copy only if both relays miss it
+    ((t_src, spawn, _),) = injections
+    assert t_src == 1.0 and 1.0 - np.prod(1.0 - spawn) > 0.6
+    assert all(m[4] > 0 and t == 0 for m, t in results)
+
+
 BLOCK_CASES = {
     "single-relay": (single_relay_fixture, 10_000, _assert_single_relay),
     "two-relay-chain": (two_relay_fixture, 10_000, _assert_relay_to_relay),
     "multi-source-multi-destination": (multi_fixture, 10_000, _assert_multi),
     "max-epochs-truncates": (two_relay_fixture, 2, _assert_truncated),
+    "max-epochs-1": (multi_fixture, 1, _assert_injection_only),
+    "live-set-overflows-pool": (parallel_relays_fixture, 10_000, _assert_overflows),
 }
 
 
 @pytest.mark.parametrize("block_n", [1_000, 65_536])
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_simulate_block_matches_reference(case, block_n):
-    """Drawing each row's binomials in one call over live trials keeps
-    every draw of the per-probability loop: same moments, same count of
-    truncated trials."""
+    """One block through a worker's pool, whose steps draw each row's
+    binomials in one call over the live trials, keeps every draw of the
+    per-probability loop: same moments, same count of truncated trials."""
     fixture, max_epochs, reaches_path = BLOCK_CASES[case]
     injections, Q, D = _block_inputs(fixture)
     results = []
     for seed in (0, 1, 7, 123):
-        arrays = mc_oracle._BlockArrays(Q.shape[0], block_n)
-        got = _simulate_block(0, block_n, seed, injections, Q, D, max_epochs, arrays)
+        blocks = iter([0])  # block 0, alone in a worker's pool
+        got = mc_oracle._work(
+            lambda: next(blocks, None), seed, block_n, injections, Q, D, max_epochs
+        )
         want = _simulate_block_reference(0, block_n, seed, injections, Q, D, max_epochs)
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
@@ -347,13 +396,15 @@ def test_simulate_block_matches_reference(case, block_n):
     reaches_path(injections, Q, D, results)
 
 
-@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_reused_block_arrays_carry_nothing_over(monkeypatch, case, threads):
-    """Each worker thread reuses one set of block arrays for all its
-    blocks. With 1000-trial blocks and a short last one, simulate's
-    moments and truncated count are the per-block sums of the reference
-    loop, which allocates fresh arrays for every block."""
+    """Each worker thread advances the live trials of all its blocks
+    together in one pool, which half a block fills. With 1000-trial
+    blocks and a short last one, simulate's moments and truncated count
+    are the per-block sums of the reference loop, which runs every block
+    alone in fresh arrays. A pool grows to a whole block, once, only
+    when a block's live trials overflow it empty."""
     fixture, max_epochs, reaches_path = BLOCK_CASES[case]
     spec, tau, P, X, _ = fixture()
     injections = _injections(tau, X, P, spec)
@@ -376,10 +427,80 @@ def test_reused_block_arrays_carry_nothing_over(monkeypatch, case, threads):
     monkeypatch.setattr(
         mc_oracle, "_estimate", lambda *a: moments.extend(a[:2]) or estimate(*a)
     )
+    capacities = []
+    allocate = mc_oracle._Pool._allocate
+    monkeypatch.setattr(
+        mc_oracle._Pool, "_allocate", lambda p, c: capacities.append(c) or allocate(p, c)
+    )
     config = SimConfig(n_packets=n, seed=seed, max_epochs=max_epochs, threads=threads)
     got = simulate(tau, X, spec, config, channel=P)
     assert moments == want.tolist()
     assert got.truncated == want_truncated
+    pools = capacities.count(500)
+    assert 1 <= pools <= threads
+    grown = 1000 in capacities
+    assert grown == (case == "live-set-overflows-pool")
+    assert sorted(capacities) == [500] * pools + [1000] * (pools if grown else 0)
+
+
+def test_workers_match_the_blocks(monkeypatch):
+    """A call starts no more worker threads than it has blocks, and each
+    worker allocates its pool only when it takes a block: 64 threads on a
+    3-block call start 3 workers and at most 3 pools, one per thread."""
+    spec, tau, P, X, _ = single_relay_fixture()
+    monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 1000)
+    config = SimConfig(n_packets=2500, seed=3, threads=64)
+    serial = simulate(tau, X, spec, SimConfig(n_packets=2500, seed=3), channel=P)
+    workers = []
+
+    class Executor(mc_oracle.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    pools = []
+    init = mc_oracle._Pool.__init__
+    monkeypatch.setattr(mc_oracle, "ThreadPoolExecutor", Executor)
+    monkeypatch.setattr(
+        mc_oracle._Pool, "__init__",
+        lambda p, *a: pools.append(threading.get_ident()) or init(p, *a),
+    )
+    assert simulate(tau, X, spec, config, channel=P) == serial
+    assert workers == [3]
+    assert 1 <= len(pools) <= 3 and len(set(pools)) == len(pools)
+
+
+def test_sure_source_skips_its_uniforms():
+    """A source that sends in every frame (t_src = 1) advances each
+    block's generator past the block's uniforms instead of drawing them:
+    the generator ends where ``random(block_n)`` and one
+    ``Generator.binomial`` call per probability over the block leave it,
+    and the injection is the one a source that sends on every uniform
+    below 1 - 2^-53 draws."""
+    injections, Q, D = _block_inputs(single_relay_fixture)
+    ((t_src, spawn, direct),) = injections
+    assert t_src == 1.0
+    block_n = 1000
+
+    def inject(t, rng):
+        pool = mc_oracle._Pool([(t, spawn, direct)], Q, D, block_n, 10)
+        live = pool.inject(rng, block_n)
+        return live, pool.injected.copy()
+
+    def generator():
+        return np.random.Generator(np.random.PCG64(5))
+
+    sure, almost = generator(), generator()
+    live, block = inject(1.0, sure)
+    almost_live, almost_block = inject(1.0 - 2.0**-53, almost)
+    assert np.array_equal(live, almost_live) and np.array_equal(block, almost_block)
+    assert live.size and block[-1].any()
+    numpy_rng = generator()
+    numpy_rng.random(block_n)
+    for p in [*direct[direct > 0.0], *spawn[spawn > 0.0]]:
+        numpy_rng.binomial(np.ones(block_n, dtype=np.int64), p)
+    for rng in (sure, almost):
+        assert rng.bit_generator.state == numpy_rng.bit_generator.state
 
 
 # Prints the minor page faults of a 2-block and a 16-block simulate call
@@ -405,8 +526,8 @@ print(json.dumps([faults(2), faults(16)]))
     not sys.platform.startswith("linux"), reason="reads Linux's per-thread ru_minflt"
 )
 def test_block_arrays_are_not_faulted_in_per_block():
-    """A call allocates its block arrays once, not once per block: a
-    16-block call takes no more minor page faults than a 2-block one plus
+    """A call allocates its worker's arrays (the pool of live trials and
+    the injection buffers) once, not once per block: a 16-block call takes no more minor page faults than a 2-block one plus
     a slack of 64 pages (256 KiB) for each extra block. Arrays freed at
     the end of each block go back to the kernel and are faulted in again
     by the next, over 800 pages a block on this fixture. The calls run in
@@ -450,11 +571,15 @@ def _numpy_threshold(n: int, p: float) -> float:
     return hi / 2.0**53
 
 
-def _assert_rows_match_numpy(ours, theirs, n, probs):
+def _assert_segments_match_numpy(ours, theirs, starts, n, probs):
+    """``_binomial_rows`` over the segments of ``n`` cut at ``starts``,
+    segment k drawn from ``ours[k]``, against one ``Generator.binomial``
+    call per p and segment on ``theirs[k]``."""
     n = np.asarray(n, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
     # a buffer longer than n, filled with junk, as a reused one would be
     u = np.full(n.size + 3, 2.0)
-    pos, drawn = _binomial_rows(ours, n, probs, u)
+    pos, drawn = _binomial_rows(ours, starts, n, probs, u)
     got = []
     for x in drawn:
         x = np.asarray(x)
@@ -464,12 +589,21 @@ def _assert_rows_match_numpy(ours, theirs, n, probs):
         dense[pos] = x
         got.append(dense)
     assert np.array_equal(np.arange(n.size)[pos], np.flatnonzero(n > 0))
-    want = [theirs.binomial(n, p) for p in probs]
+    cuts = [*starts.tolist(), n.size]
+    want = [
+        np.concatenate([rng.binomial(n[s:e], p) for rng, s, e in zip(theirs, cuts, cuts[1:])])
+        for p in probs
+    ]
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.shape == w.shape and np.array_equal(g, w)
-    # the generator stands where numpy's calls left it
-    assert ours.random() == theirs.random()
+    # every generator stands where numpy's calls left it
+    for mine, numpy_rng in zip(ours, theirs):
+        assert mine.random() == numpy_rng.random()
+
+
+def _assert_rows_match_numpy(ours, theirs, n, probs):
+    _assert_segments_match_numpy([ours], [theirs], [0], n, probs)
 
 
 def test_numpy_log_q_is_known():
@@ -543,3 +677,61 @@ def test_binomial_rows_redraw_on_crafted_uniforms():
         assert want.tolist() == ([0, 1] if redraw else [n[0], 0])
         _assert_rows_match_numpy(_first_uniform(u0), _first_uniform(u0), n, [p])
     assert any(redrawn)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=arrays(np.int64, st.integers(0, 40), elements=st.integers(0, 70))
+    | arrays(np.int64, st.integers(0, 40), elements=st.integers(0, 2)),
+    cuts=st.lists(st.integers(0, 40), max_size=4),
+    probs=st.lists(PROBABILITIES, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_segmented_rows_match_numpy(n, cuts, probs, seed):
+    """Rows cut into consecutive segments, each with its own generator,
+    as a pool's runs are: element for element each segment's draws of
+    ``Generator.binomial(n[s:e], p)``, one call per p, and every
+    generator in the same state afterwards. Segments may be empty, and
+    each takes BTPE, inversion or a walk on its own."""
+    starts = [0, *sorted(min(c, n.size) for c in cuts)]
+    seeds = np.random.SeedSequence(seed).spawn(len(starts))
+    _assert_segments_match_numpy(
+        [np.random.default_rng(s) for s in seeds],
+        [np.random.default_rng(s) for s in seeds],
+        starts, n, probs,
+    )
+
+
+def test_segmented_rows_decide_per_segment(monkeypatch):
+    """A segment with n * min(p, 1 - p) > 30 takes BTPE while its
+    neighbours draw by inversion, and only the middle segment whose
+    generator's first uniform is 1 - 2^-53 is walked one trial at a time,
+    at p < 0.5 and at p > 0.5 alike."""
+    def generators(middle):
+        rngs = [np.random.default_rng(k) for k in range(3)]
+        return [rngs[0], middle, rngs[1], rngs[2]]
+
+    # segment 1 holds the one n with n * 0.4 > 30
+    n = [1, 2, 0, 1, 100, 3, 2, 1, 1, 0, 1, 3]
+    for p in (0.4, 0.6):
+        _assert_segments_match_numpy(
+            generators(np.random.default_rng(9)),
+            generators(np.random.default_rng(9)),
+            [0, 4, 6, 8], n, [p, 0.01],
+        )
+
+    walked, n_walks = [], 0
+    walk = mc_oracle._walk
+    monkeypatch.setattr(mc_oracle, "_walk", lambda rng, *a: walked.append(rng) or walk(rng, *a))
+    # the rows of the crafted-uniform test, which redraw under one rule each
+    for middle, p in (([1, 1], 0.3715), ([2, 1], 0.01375)):
+        n = [1, 2, 0, 1, *middle, 2, 1, 1, 0, 1, 3]
+        for row_p in (p, 1.0 - p):
+            walked.clear()
+            ours = generators(_first_uniform(1.0 - 2.0**-53))
+            _assert_segments_match_numpy(
+                ours, generators(_first_uniform(1.0 - 2.0**-53)), [0, 4, 6, 8], n, [row_p]
+            )
+            assert all(rng is ours[1] for rng in walked)
+            n_walks += len(walked)
+    assert n_walks
