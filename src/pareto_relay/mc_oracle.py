@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -38,8 +37,8 @@ from .rates import check_flow_conservation, check_half_duplex
 
 # The random-draw granularity: every block of BLOCK_SIZE trials owns an
 # independent generator derived from (seed, block index), so results are
-# identical no matter how blocks are scheduled across threads or which
-# blocks share a worker's pool. It also sizes each worker thread's arrays
+# identical whichever worker's stripe of blocks holds a block and which
+# blocks share its pool. It also sizes each worker thread's arrays
 # (``_Pool``): a pool of BLOCK_SIZE // 2 live trials, about
 # (2l + 9) * BLOCK_SIZE * 4 bytes for l transient states, plus one block's
 # uniforms and injection buffer, about (l + 9) * BLOCK_SIZE bytes.
@@ -57,8 +56,8 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.n_packets < 1:
-            raise ValueError("n_packets must be >= 1")
+        if self.n_packets < 2:  # a standard error needs two trials
+            raise ValueError("n_packets must be >= 2")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.max_epochs < 1:
@@ -90,11 +89,8 @@ class CriterionEstimate:
 
 def _estimate(total: int, total_sq: int, n: int, z: float) -> CriterionEstimate:
     mean = total / n
-    if n > 1:
-        var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-        se = (var / n) ** 0.5
-    else:
-        se = float("inf")
+    var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
+    se = (var / n) ** 0.5
     return CriterionEstimate(mean, se, mean - z * se, mean + z * se)
 
 
@@ -146,14 +142,15 @@ def _injections(
     ]
 
 
-def _row_draws(Q: np.ndarray, D: np.ndarray):
-    """Per transient state a: the positive probabilities of D[a] then Q[a],
-    how many of them are D's, and the states Q[a] feeds."""
+def _row_draws(Q, D):
+    """Per row pair (q, d) of Q and D, as for a transient state a: the
+    positive probabilities of d then q, how many of them are d's, and the
+    states q feeds."""
     rows = []
-    for a in range(Q.shape[0]):
-        d_pos = D[a, D[a] > 0.0]
-        q_cols = np.flatnonzero(Q[a] > 0.0)
-        probs = np.concatenate([d_pos, Q[a, q_cols]]).tolist()
+    for q, d in zip(Q, D):
+        d_pos = d[d > 0.0]
+        q_cols = np.flatnonzero(q > 0.0)
+        probs = np.concatenate([d_pos, q[q_cols]]).tolist()
         rows.append((probs, d_pos.size, q_cols))
     return rows
 
@@ -310,9 +307,22 @@ def _draw_rows(segments: list, n: np.ndarray, probs: list, u: np.ndarray):
         yield n - x if flip else x
 
 
+def _scatter(rngs: list, starts: np.ndarray, n: np.ndarray, row, u: np.ndarray, first, to) -> None:
+    """Draws the binomials of ``row`` = (probs, n_first, rows) over the
+    counts ``n`` with ``_binomial_rows`` and adds them where they land:
+    the first n_first rows of draws to ``first``, each later one to
+    ``to[b]`` for b in rows."""
+    probs, n_first, rows = row
+    at, drawn = _binomial_rows(rngs, starts, n, probs, u)
+    for _ in range(n_first):
+        first[at] += next(drawn)
+    for b, x in zip(rows, drawn):
+        to[b, at] += x
+
+
 class _Pool:
-    """One worker thread's live trials, from every block it has taken,
-    advanced one epoch at a time together.
+    """One worker thread's live trials, from every block of its stripe
+    injected so far, advanced one epoch at a time together.
 
     A block is injected at full width into ``injected`` (copies per
     transient state, then f), and its trials that hold a copy join as one
@@ -329,13 +339,10 @@ class _Pool:
 
     def __init__(self, injections, Q: np.ndarray, D: np.ndarray, width: int, max_epochs: int):
         self.rows = _row_draws(Q, D)
-        self.injections = []
-        for t_src, spawn, direct in injections:
-            spawn_rows = np.flatnonzero(spawn > 0.0)
-            probs = np.concatenate([direct[direct > 0.0], spawn[spawn_rows]]).tolist()
-            self.injections.append((t_src, probs, len(probs) - spawn_rows.size, spawn_rows))
+        self.sends = [t_src for t_src, _, _ in injections]
+        self.injections = _row_draws([s for _, s, _ in injections], [d for _, _, d in injections])
         # no entry of the injection buffer exceeds the draws per trial
-        draws = sum(len(probs) for _, probs, _, _ in self.injections)
+        draws = sum(len(probs) for probs, _, _ in self.injections)
         self.injected = np.empty((len(self.rows) + 1, width), np.int8 if draws < 128 else np.int64)
         self.u = np.empty(width)
         self.max_epochs = max_epochs
@@ -370,23 +377,15 @@ class _Pool:
         l = len(self.rows)
         block = self.injected[:, :block_n]
         block.fill(0)
-        for t_src, probs, n_direct, spawn_rows in self.injections:
+        one_run = np.zeros(1, dtype=np.int64)
+        for t_src, row in zip(self.sends, self.injections):
+            # each trial that sent holds one copy
             if t_src >= 1.0:  # every uniform is below 1; a double is one output
                 rng.bit_generator.advance(block_n)
-                sent = slice(None)
-                m = block_n
+                sent = np.ones(block_n, dtype=np.int8)  # a broadcast 1 reduces slowly
             else:
-                sent = rng.random(out=self.u[:block_n]) < t_src
-                m = np.count_nonzero(sent)
-                # every trial sent: no index needed
-                sent = slice(None) if m == block_n else np.flatnonzero(sent)
-            # each trial that sent holds one copy: a read-only view of one 1
-            ones = np.broadcast_to(np.int64(1), m)
-            drawn = _draw_rows([(rng, 0, ones.size)], ones, probs, self.u[: ones.size])
-            for _ in range(n_direct):
-                block[l, sent] += next(drawn)
-            for b, spawned in zip(spawn_rows, drawn):
-                block[b, sent] += spawned
+                sent = (rng.random(out=self.u[:block_n]) < t_src).view(np.int8)
+            _scatter([rng], one_run, sent, row, self.u, block[l], block)
         return np.flatnonzero(block[:l].any(axis=0))
 
     def join(self, rng, block_n: int, live: np.ndarray) -> None:
@@ -419,12 +418,12 @@ class _Pool:
         transient state a in turn, binomials over its trials that hold a
         copy at a, for the positive entries of D[a] and then of Q[a].
         """
-        weight = self.acc[3, : self.width]
-        if self.width and weight[0] >= self.max_epochs:
-            keep = weight < self.max_epochs
-            self.truncated += self.width - np.count_nonzero(keep)
-            self._compact(keep)
         w = self.width
+        weight = self.acc[3, :w]
+        if w and weight[0] >= self.max_epochs:
+            self._compact(weight < self.max_epochs)
+            self.truncated += w - self.width
+            w = self.width
         if not w:
             return
         counts, new = self.counts[:, :w], self.spare[:, :w]
@@ -433,12 +432,8 @@ class _Pool:
         energy += np.sum(counts, axis=0, out=delivered)
         delivered.fill(0)
         new.fill(0)
-        for a, (probs, n_deliver, q_rows) in enumerate(self.rows):
-            at, drawn = _binomial_rows(self.rngs, self.starts, counts[a], probs, self.u)
-            for _ in range(n_deliver):
-                delivered[at] += next(drawn)
-            for b, spawned in zip(q_rows, drawn):
-                new[b, at] += spawned
+        for n, row in zip(counts, self.rows):
+            _scatter(self.rngs, self.starts, n, row, self.u, delivered, new)
         f += delivered
         delivered *= weight
         delay += delivered
@@ -471,14 +466,11 @@ class _Pool:
         self.width = k
 
 
-def _work(take_block, seed: int, n: int, injections, Q, D, max_epochs: int):
-    """Runs the blocks that ``take_block()`` hands out, until it returns
-    None, through one ``_Pool`` allocated at the first; returns the
+def _work(blocks, seed: int, n: int, injections, Q, D, max_epochs: int):
+    """Runs the ``blocks`` in order through one ``_Pool``; returns the
     moments and the number of truncated trials."""
-    pool = None
-    while (b := take_block()) is not None:
-        if pool is None:
-            pool = _Pool(injections, Q, D, min(n, BLOCK_SIZE), max_epochs)
+    pool = _Pool(injections, Q, D, min(n, BLOCK_SIZE), max_epochs)
+    for b in blocks:
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
         )
@@ -490,8 +482,6 @@ def _work(take_block, seed: int, n: int, injections, Q, D, max_epochs: int):
                 break
             pool.step()
         pool.join(rng, block_n, live)
-    if pool is None:
-        return np.zeros(6, dtype=np.int64), 0
     while pool.width:
         pool.step()
     return pool.moments, pool.truncated
@@ -509,8 +499,9 @@ def simulate(
 
     Gates the strategy with :func:`check_strategy`, as ``evaluate`` does,
     then runs the branching process in blocks of ``BLOCK_SIZE`` trials on
-    ``min(config.threads, blocks)`` worker threads, each with its own
-    ``_Pool``. Deterministic per seed and independent of ``config.threads``.
+    T = ``min(config.threads, blocks)`` worker threads: worker w runs blocks
+    w, w + T, w + 2T, ... through its own ``_Pool``. Deterministic per seed
+    and independent of ``config.threads``.
     """
     channel = check_strategy(tau, spec, channel, X, tolerance)
 
@@ -520,29 +511,16 @@ def simulate(
 
     n = config.n_packets
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    # Blocks go to the workers in index order as each asks for one; the
-    # moments are integer sums, so which worker runs a block does not matter.
-    blocks = iter(range(n_blocks))
-    lock = threading.Lock()
-
-    def take_block():
-        with lock:
-            return next(blocks, None)
-
-    args = (take_block, config.seed, n, injections, Q, D, config.max_epochs)
     workers = min(config.threads, n_blocks)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            futures = [executor.submit(_work, *args) for _ in range(workers)]
-            results = [future.result() for future in futures]
-    else:
-        results = [_work(*args)]
-
-    moments = np.zeros(6, dtype=np.int64)
-    truncated = 0
-    for m, t in results:
-        moments += m
-        truncated += t
+    # Worker w's stripe; the moments are integer sums, so which worker runs
+    # a block does not matter.
+    stripes = (range(w, n_blocks, workers) for w in range(workers))
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        results = executor.map(
+            lambda blocks: _work(blocks, config.seed, n, injections, Q, D, config.max_epochs),
+            stripes,
+        )
+        moments, truncated = map(sum, zip(*results))
 
     z = NormalDist().inv_cdf(0.5 + config.confidence / 2.0)
     return SimEstimate(

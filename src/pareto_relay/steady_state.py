@@ -58,35 +58,6 @@ class CriteriaVector:
         return (self.f, self.f_c, self.f_d, self.f_e)
 
 
-def destination_slot_index(spec: NetworkSpec) -> tuple[tuple[int, int], ...]:
-    """Absorbing coordinates (destination, slot); columns of D."""
-    return tuple(
-        (d, u) for d in spec.destination_ids for u in range(1, spec.slot_count + 1)
-    )
-
-
-@dataclass(frozen=True)
-class TransitionSystem:
-    """Q, D and per-source initial flows over a fixed transmission index.
-
-    ``relay_index`` lists the active relay transmissions backing the l rows
-    and columns of Q (sources inject through F1, so they carry no row);
-    ``arrival_index`` lists the m destination-slot columns of D. Each F1 row
-    is the concatenation (l relay components, m direct-arrival components)
-    for one source.
-    """
-
-    relay_index: tuple[tuple[int, int], ...]
-    arrival_index: tuple[tuple[int, int], ...]
-    Q: np.ndarray
-    D: np.ndarray
-    F1: np.ndarray
-
-    @property
-    def n_transient(self) -> int:
-        return len(self.relay_index)
-
-
 def build_relaying_matrix(
     X: ForwardingMatrix,
     tau: RateMatrix,
@@ -222,13 +193,15 @@ def build_transition_system(
     X: ForwardingMatrix,
     P: ChannelMatrix,
     spec: NetworkSpec,
-) -> TransitionSystem:
-    return TransitionSystem(
-        relay_index=relay_transmission_index(tau),
-        arrival_index=destination_slot_index(spec),
-        Q=build_relaying_matrix(X, tau, P),
-        D=build_arrival_matrix(tau, P, spec),
-        F1=build_initial_flow(tau.source_rates, X, tau, P, spec),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Q, D and F1 of the strategy: rows and columns of Q and rows of D run
+    over ``relay_transmission_index(tau)``, D's columns over (destination,
+    slot) pairs, and each source's F1 row holds l relay then m direct
+    components."""
+    return (
+        build_relaying_matrix(X, tau, P),
+        build_arrival_matrix(tau, P, spec),
+        build_initial_flow(tau.source_rates, X, tau, P, spec),
     )
 
 
@@ -315,15 +288,15 @@ def evaluate(
     """
     channel = check_strategy(tau, spec, channel, X, tolerance)
 
-    ts = build_transition_system(tau, X, channel, spec)
-    M_F = fundamental_matrix(ts.Q)
-    gap = delay_identity_gap(ts.Q, M_F)
+    Q, D, F1 = build_transition_system(tau, X, channel, spec)
+    M_F = fundamental_matrix(Q)
+    gap = delay_identity_gap(Q, M_F)
     if gap > 1e-8:
         raise NumericalError(
             f"fundamental-matrix identity violated by {gap:.3e}; "
             f"the linear solve is unreliable"
         )
 
-    crit = criteria(ts.F1, M_F, ts.D)
+    crit = criteria(F1, M_F, D)
     _cut_set_guard(tau, channel, spec, crit.f, tolerance)
     return crit

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pareto_relay
@@ -330,8 +330,10 @@ def test_usage_errors_exit_1(workspace, capsys):
     assert main(["no-such-command"]) == 1
     assert main(eval_args(workspace, "--bogus-flag")) == 1
     capsys.readouterr()
-    assert main(oracle_args(workspace, "--packets", "0")) == 1
-    assert capsys.readouterr().err == "error: n_packets must be >= 1\n"
+    # a standard error needs two trials
+    for packets in ("0", "1"):
+        assert main(oracle_args(workspace, "--packets", packets)) == 1
+        assert capsys.readouterr().err == "error: n_packets must be >= 2\n"
     out_dir = workspace["dir"] / "never"
     for args in (
         search_args(workspace, out_dir, "--x-samples", "0"),
@@ -462,9 +464,11 @@ def _fuzzed_documents(field, value, names=("topology", "tau", "x")) -> dict:
     return docs
 
 
-def _run_on_documents(subcommand, docs, *extra) -> tuple[int, list[str]]:
-    """Exit code and stderr lines of ``subcommand`` on the given documents."""
-    out, err = io.StringIO(), io.StringIO()
+def _run_on_documents(subcommand, docs, *extra, out=None) -> tuple[int, list[str]]:
+    """Exit code and stderr lines of ``subcommand`` on the given documents;
+    stdout goes to ``out`` when it is given."""
+    out = io.StringIO() if out is None else out
+    err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         args = [subcommand]
         for key, doc in docs.items():
@@ -620,27 +624,47 @@ FLAG_TEXT = (
     | st.floats().map(repr)
     | st.text(max_size=3)
 )
+# The same for --packets, with its integers kept small: a larger valid count
+# only makes the run longer.
+ORACLE_FLAGS = st.tuples(
+    st.sampled_from(["--seed", "--max-epochs", "--confidence"]), FLAG_TEXT
+) | st.tuples(
+    st.just("--packets"),
+    st.integers(-3, 3000).map(str) | st.floats().map(repr) | st.text(max_size=3),
+)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 @settings(max_examples=50, deadline=None)
 @given(
     field=st.none() | st.sampled_from(FUZZ_FIELDS),
     value=JSON_VALUES,
-    flag=st.sampled_from(["--seed", "--max-epochs", "--confidence"]),
-    flag_text=FLAG_TEXT,
+    flag_and_text=ORACLE_FLAGS,
 )
-def test_oracle_exit_code_contract(field, value, flag, flag_text):
+# one trial, whose standard error would be infinite; the fewest trials that
+# run; every relay copy truncated
+@example(field=None, value=None, flag_and_text=("--packets", "1"))
+@example(field=None, value=None, flag_and_text=("--packets", "2"))
+@example(field=None, value=None, flag_and_text=("--max-epochs", "1"))
+def test_oracle_exit_code_contract(field, value, flag_and_text):
     """Whatever one field of the inputs (or none) and one of the oracle's
-    own flags hold, oracle exits 0, 1 or 2, and on failure prints exactly one
+    own flags hold, oracle exits 0, 1 or 2. On success it prints valid
+    JSON, with no NaN or infinity; on failure exactly one
     error:/infeasible: line, last, after at most argparse's usage text."""
+    out = io.StringIO()
     code, lines = _run_on_documents(
-        "oracle", _fuzzed_documents(field, value), "--packets", "200", flag, flag_text
+        "oracle", _fuzzed_documents(field, value), "--packets", "200", *flag_and_text, out=out
     )
     assert code in (0, 1, 2)
     if code:
         verdicts = [line for line in lines if line.startswith(("error:", "infeasible:"))]
         assert verdicts == lines[-1:], lines
         assert len(lines) == 1 or lines[0].startswith("usage:"), lines
+    else:
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
 
 
 @settings(max_examples=30, deadline=None)

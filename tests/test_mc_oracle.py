@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +138,7 @@ def parallel_relays_fixture():
         {"n_packets": 10, "seed": -1},
         {"n_packets": 10, "seed": 0, "threads": 0},
         {"n_packets": 10, "seed": 0, "threads": -2},
+        {"n_packets": 1, "seed": 0},  # a standard error needs two trials
     ],
 )
 def test_config_validation(kwargs):
@@ -170,9 +170,9 @@ def test_same_seed_reproducible():
 
 
 def test_thread_count_invariance(monkeypatch):
-    """More workers than cores, switching threads every microsecond, take
-    each of the 20 blocks exactly once: a block lost or run twice would
-    change the moments."""
+    """More workers than cores, switching threads every microsecond, run
+    each of the 20 blocks exactly once in their stripes: a block lost or
+    run twice would change the moments."""
     spec, tau, P, X, _ = single_relay_fixture()
     monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 1000)
     serial = simulate(
@@ -385,10 +385,8 @@ def test_simulate_block_matches_reference(case, block_n):
     injections, Q, D = _block_inputs(fixture)
     results = []
     for seed in (0, 1, 7, 123):
-        blocks = iter([0])  # block 0, alone in a worker's pool
-        got = mc_oracle._work(
-            lambda: next(blocks, None), seed, block_n, injections, Q, D, max_epochs
-        )
+        # block 0, alone in a worker's pool
+        got = mc_oracle._work([0], seed, block_n, injections, Q, D, max_epochs)
         want = _simulate_block_reference(0, block_n, seed, injections, Q, D, max_epochs)
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
@@ -399,12 +397,13 @@ def test_simulate_block_matches_reference(case, block_n):
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_reused_block_arrays_carry_nothing_over(monkeypatch, case, threads):
-    """Each worker thread advances the live trials of all its blocks
-    together in one pool, which half a block fills. With 1000-trial
-    blocks and a short last one, simulate's moments and truncated count
-    are the per-block sums of the reference loop, which runs every block
-    alone in fresh arrays. A pool grows to a whole block, once, only
-    when a block's live trials overflow it empty."""
+    """Each worker thread advances the live trials of all the blocks of
+    its stripe together in one pool, which half a block fills. With
+    1000-trial blocks and a short last one, simulate's moments and
+    truncated count are the per-block sums of the reference loop, which
+    runs every block alone in fresh arrays. Each worker allocates one
+    pool, which grows to a whole block, once, only when a block's live
+    trials overflow it empty."""
     fixture, max_epochs, reaches_path = BLOCK_CASES[case]
     spec, tau, P, X, _ = fixture()
     injections = _injections(tau, X, P, spec)
@@ -413,7 +412,8 @@ def test_reused_block_arrays_carry_nothing_over(monkeypatch, case, threads):
     n, seed = 20_500, 5
     want = np.zeros(6, dtype=np.int64)
     want_truncated = 0
-    for b in range(-(-n // 1000)):  # the last block holds 500 trials
+    n_blocks = -(-n // 1000)  # the last block holds 500 trials
+    for b in range(n_blocks):
         m, t = _simulate_block_reference(
             b, min(1000, n - 1000 * b), seed, injections, Q, D, max_epochs
         )
@@ -437,16 +437,16 @@ def test_reused_block_arrays_carry_nothing_over(monkeypatch, case, threads):
     assert moments == want.tolist()
     assert got.truncated == want_truncated
     pools = capacities.count(500)
-    assert 1 <= pools <= threads
+    assert pools == min(threads, n_blocks)
     grown = 1000 in capacities
     assert grown == (case == "live-set-overflows-pool")
     assert sorted(capacities) == [500] * pools + [1000] * (pools if grown else 0)
 
 
 def test_workers_match_the_blocks(monkeypatch):
-    """A call starts no more worker threads than it has blocks, and each
-    worker allocates its pool only when it takes a block: 64 threads on a
-    3-block call start 3 workers and at most 3 pools, one per thread."""
+    """A call starts no more worker threads than it has blocks: 64 threads
+    on a 3-block call start 3 workers, whose stripes hold one block each,
+    and each allocates one pool."""
     spec, tau, P, X, _ = single_relay_fixture()
     monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 1000)
     config = SimConfig(n_packets=2500, seed=3, threads=64)
@@ -458,16 +458,17 @@ def test_workers_match_the_blocks(monkeypatch):
             workers.append(max_workers)
             super().__init__(max_workers)
 
-    pools = []
-    init = mc_oracle._Pool.__init__
+    stripes, pools = [], []
+    work, init = mc_oracle._work, mc_oracle._Pool.__init__
     monkeypatch.setattr(mc_oracle, "ThreadPoolExecutor", Executor)
     monkeypatch.setattr(
-        mc_oracle._Pool, "__init__",
-        lambda p, *a: pools.append(threading.get_ident()) or init(p, *a),
+        mc_oracle, "_work", lambda blocks, *a: stripes.append(list(blocks)) or work(blocks, *a)
     )
+    monkeypatch.setattr(mc_oracle._Pool, "__init__", lambda p, *a: pools.append(p) or init(p, *a))
     assert simulate(tau, X, spec, config, channel=P) == serial
     assert workers == [3]
-    assert 1 <= len(pools) <= 3 and len(set(pools)) == len(pools)
+    assert sorted(stripes) == [[0], [1], [2]]
+    assert len(pools) == 3
 
 
 def test_sure_source_skips_its_uniforms():
@@ -504,7 +505,8 @@ def test_sure_source_skips_its_uniforms():
 
 
 # Prints the minor page faults of a 2-block and a 16-block simulate call
-# at threads 1, after one warm-up call.
+# at threads 1, after one warm-up call. They are the whole process's: the
+# call runs its blocks on a worker thread.
 FAULTS_CHILD = """
 import json, resource
 from pareto_relay import SimConfig, mc_oracle, simulate
@@ -513,9 +515,9 @@ spec, tau, P, X, _ = single_relay_fixture()
 
 def faults(blocks):
     config = SimConfig(n_packets=blocks * mc_oracle.BLOCK_SIZE, seed=0)
-    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     simulate(tau, X, spec, config, channel=P)
-    return resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 faults(2)
 print(json.dumps([faults(2), faults(16)]))
@@ -523,12 +525,13 @@ print(json.dumps([faults(2), faults(16)]))
 
 
 @pytest.mark.skipif(
-    not sys.platform.startswith("linux"), reason="reads Linux's per-thread ru_minflt"
+    not sys.platform.startswith("linux"), reason="counts glibc's page faults"
 )
 def test_block_arrays_are_not_faulted_in_per_block():
     """A call allocates its worker's arrays (the pool of live trials and
-    the injection buffers) once, not once per block: a 16-block call takes no more minor page faults than a 2-block one plus
-    a slack of 64 pages (256 KiB) for each extra block. Arrays freed at
+    the injection buffers) once, not once per block: a 16-block call
+    takes no more minor page faults than a 2-block one plus a slack of 64
+    pages (256 KiB) for each extra block. Arrays freed at
     the end of each block go back to the kernel and are faulted in again
     by the next, over 800 pages a block on this fixture. The calls run in
     a fresh interpreter: inside the test process, the heap that earlier

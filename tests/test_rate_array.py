@@ -35,7 +35,6 @@ from pareto_relay.steady_state import (
     build_arrival_matrix,
     build_initial_flow,
     build_relaying_matrix,
-    destination_slot_index,
 )
 
 from conftest import line_spec, make_spec
@@ -67,6 +66,10 @@ class _LoopRates:
         }
         relays = set(self.relay_ids)
         self.relay_index = tuple(p for p in sorted(pairs) if p[0] in relays)
+        # the columns of D: (destination, slot) pairs
+        self.arrival_index = tuple(
+            (d, u) for d in spec.destination_ids for u in range(1, self.slot_count + 1)
+        )
 
     def rate(self, node_id, slot):
         loc = self._row_of.get(node_id)
@@ -152,7 +155,7 @@ def _relaying_matrix_reference(X, tau, P):
 
 def _arrival_matrix_reference(tau, P, spec):
     index = tau.relay_index
-    arrivals = destination_slot_index(spec)
+    arrivals = tau.arrival_index
     D = np.zeros((len(index), len(arrivals)))
     for a, (i, u) in enumerate(index):
         for b, (d, w) in enumerate(arrivals):
@@ -163,7 +166,7 @@ def _arrival_matrix_reference(tau, P, spec):
 
 def _initial_flow_reference(X, tau, P, spec):
     index = tau.relay_index
-    arrivals = destination_slot_index(spec)
+    arrivals = tau.arrival_index
     F1 = np.zeros((len(spec.source_ids), len(index) + len(arrivals)))
     for s_row, S in enumerate(spec.source_ids):
         for u in range(1, spec.slot_count + 1):

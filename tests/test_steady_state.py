@@ -32,7 +32,6 @@ from pareto_relay.steady_state import (
     build_relaying_matrix,
     criteria,
     delay_identity_gap,
-    destination_slot_index,
     relay_transmission_index,
 )
 
@@ -46,8 +45,8 @@ def delay_per_delivery(crit) -> float:
 
 def ungated_criteria(tau, X, spec, P):
     """The criteria without any of evaluate's gates or guards."""
-    ts = build_transition_system(tau, X, P, spec)
-    return criteria(ts.F1, fundamental_matrix(ts.Q), ts.D)
+    Q, D, F1 = build_transition_system(tau, X, P, spec)
+    return criteria(F1, fundamental_matrix(Q), D)
 
 
 def single_relay_setup(tau_r=0.4, p_sr=0.8, p_sd=0.2, p_rd=0.9):
@@ -92,10 +91,6 @@ def two_relay_chain_setup():
 def test_relay_transmission_index_excludes_sources(three_node):
     tau = rate_matrix(three_node, [[0.3, 0.4]], [[1.0, 0.0]])
     assert relay_transmission_index(tau) == ((2, 1), (2, 2))
-
-
-def test_destination_slot_index(three_node):
-    assert destination_slot_index(three_node) == ((3, 1), (3, 2))
 
 
 def test_relaying_matrix_hand_computed():
@@ -233,11 +228,12 @@ def test_delay_identity_holds_for_substochastic_matrices(Q):
 
 def test_transition_system_shapes():
     spec, tau, P, X = two_relay_chain_setup()
-    ts = build_transition_system(tau, X, P, spec)
-    assert ts.relay_index == ((2, 2), (3, 3))
-    assert ts.arrival_index == ((4, 1), (4, 2), (4, 3))
-    assert ts.n_transient == 2
-    assert ts.F1.shape == (1, 5)
+    Q, D, F1 = build_transition_system(tau, X, P, spec)
+    assert relay_transmission_index(tau) == ((2, 2), (3, 3))
+    assert Q.shape == (2, 2)
+    # rows (2, 2) and (3, 3); columns (4, 1), (4, 2) and (4, 3)
+    assert np.array_equal(D, [[0.0, 0.3, 0.0], [0.0, 0.0, 0.9]])
+    assert F1.shape == (1, 5)
 
 
 def test_direct_transmission_only(three_node):
@@ -460,9 +456,8 @@ def test_criteria_vector_json_dict():
 
 def test_criterion_helpers_agree_with_evaluate():
     spec, tau, P, X = two_relay_chain_setup()
-    ts = build_transition_system(tau, X, P, spec)
-    M = fundamental_matrix(ts.Q)
-    assert criteria(ts.F1, M, ts.D) == evaluate(tau, X, spec, channel=P)
+    Q, D, F1 = build_transition_system(tau, X, P, spec)
+    assert criteria(F1, fundamental_matrix(Q), D) == evaluate(tau, X, spec, channel=P)
 
 
 @pytest.mark.parametrize("seed", range(5))
