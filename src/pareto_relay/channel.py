@@ -4,9 +4,10 @@ The probability p_ij^u that a packet sent by i in slot u is received at j
 is the average of the packet success rate over every subset of the other
 transmitters active in that slot, weighted by the probability that exactly
 that subset transmits concurrently. Interference is additive noise; the
-packet success rate comes from an uncoded BPSK/AWGN bit error rate. The
-links of a slot share their interferer pools, so ``channel_matrix`` computes
-a slot one pool at a time, with one ``np.dot`` per link.
+packet success rate comes from an uncoded BPSK/AWGN bit error rate.
+``channel_matrix`` takes the links of every uncached slot together and
+averages all links with m interferers in one subset lattice, one row per
+link, with one ``np.dot`` per link.
 """
 
 from __future__ import annotations
@@ -55,33 +56,43 @@ def interference_candidates(
     return tuple(k for k in act.in_slot(slot) if k not in (sender, receiver))
 
 
-# The links of a pool of m interferers are taken in blocks of rows, so that
-# no 2-D array holds more than max(2^m, this) elements: one link at a time
-# from m = 16 on, as a per-link loop would hold them.
-_BLOCK_ELEMENTS = 1 << 16
+# The rows of one pool size m are taken in blocks, so that no 2-D array
+# holds more than max(2^m, this) elements: one link at a time from m = 12
+# on, as a per-link loop would hold them. At 2^16, the rare call with many
+# links of one large pool size grew the heap: the evaluate-wide benchmark's
+# peak RSS read about 0.5 MB higher.
+_BLOCK_ELEMENTS = 1 << 12
 
 
-def _pool_average(
-    spec: NetworkSpec, column: np.ndarray, pool: list[int], links: list[tuple[int, int]]
-) -> list[float]:
-    # p of each 0-based link (sender, receiver) whose interferers are the
-    # ascending 0-based ``pool``, at the slot's rates ``column``: all 2^m
-    # subsets by doubling, one row per link.
-    power = spec.radio.tx_power * gain_matrix(spec)
-    rows = max(1, _BLOCK_ELEMENTS >> len(pool))
+def _pool_average(radio, signal: np.ndarray, gains: np.ndarray, rates: np.ndarray) -> list[float]:
+    """p of each row r: a link received at power ``signal[r]`` whose m
+    interferers (ascending node id) reach its receiver at powers
+    ``gains[r]`` and send at ``rates[r]``.
+
+    The 2^m subsets are built by doubling, one interferer at a time, into
+    the halves of a preallocated lattice: the IEEE operations, in the
+    order, of a per-link loop. Each row ends in its own ``np.dot``; a
+    matrix-vector product, or a plain loop without FMA, sums otherwise and
+    differs from it from length 2 on.
+    """
+    m = gains.shape[1]
+    rows = max(1, _BLOCK_ELEMENTS >> m)
+    interf = np.empty((min(rows, len(signal)), 1 << m))
+    prob = np.empty_like(interf)
     out = []
-    for start in range(0, len(links), rows):
-        senders, receivers = np.array(links[start:start + rows]).T
-        signal = power[senders, receivers]
-        interf = np.zeros((len(receivers), 1))
-        prob = np.ones(1)
-        for g, t in zip(power[np.ix_(pool, receivers)], column[pool]):
-            interf = np.concatenate([interf, interf + g[:, None]], axis=1)
-            prob = np.concatenate([prob * (1.0 - t), prob * t])
+    for at in range(0, len(signal), rows):
+        g, t = gains[at:at + rows], rates[at:at + rows]
+        i, p = interf[:len(g)], prob[:len(g)]
+        i[:, 0], p[:, 0] = 0.0, 1.0
+        for k in range(m):
+            lo, hi = slice(0, 1 << k), slice(1 << k, 2 << k)
+            np.add(i[:, lo], g[:, k, None], out=i[:, hi])
+            np.multiply(p[:, lo], t[:, k, None], out=p[:, hi])
+            np.multiply(p[:, lo], 1.0 - t[:, k, None], out=p[:, lo])
         success = packet_success(
-            signal[:, None] / (spec.radio.noise_power + interf), spec.radio.packet_bits
+            signal[at:at + rows, None] / (radio.noise_power + i), radio.packet_bits
         )
-        out += [float(np.dot(prob, row)) for row in success]
+        out += [float(np.dot(a, b)) for a, b in zip(p, success)]
     return out
 
 
@@ -103,8 +114,11 @@ def channel_probability_exact(
             f"{len(pool)} candidate interferers on link ({sender},{receiver})"
             f" slot {slot} exceed the exact-enumeration cap {EXACT_CAP}"
         )
-    links = [(sender - 1, receiver - 1)]
-    return _pool_average(spec, tau.rates[:, slot - 1], [k - 1 for k in pool], links)[0]
+    pool = [k - 1 for k in pool]
+    power = spec.radio.tx_power * gain_matrix(spec)[:, receiver - 1]
+    return _pool_average(
+        spec.radio, power[[sender - 1]], power[None, pool], tau.rates[None, pool, slot - 1]
+    )[0]
 
 
 def channel_probability_sampled(
@@ -216,10 +230,12 @@ def channel_matrix(
     """Assemble p_ij^u for every ordered node pair and slot.
 
     Link (i, j) of slot u draws its interferers from the pool A minus {i, j}
-    of the slot's active set A. A pool within ``EXACT_CAP`` is enumerated
-    once for all its links, as one 2-D array, with one ``np.dot`` per link:
-    a matrix-vector product would sum in another order and change the last
-    bits. The links of a larger pool take the seeded sampled estimate.
+    of the slot's active set A. The links of every slot that misses the
+    cache are grouped by pool size m, across pools and slots, and each
+    group within ``EXACT_CAP`` is one ``_pool_average`` call whose rows
+    carry their own gains, rates and signal; each link still ends in its
+    own ``np.dot``, so the result is bit for bit that of a per-link loop.
+    The links of a larger pool take the seeded sampled estimate.
 
     The slice of slot u depends only on the geometry and on column u of tau
     (every node's rate in slot u). Each slice is looked up in ``slot_cache``
@@ -230,32 +246,38 @@ def channel_matrix(
     ``NetworkSpec``: its keys do not name the geometry.
     """
     cache = {} if slot_cache is None else slot_cache
-    n = spec.n_nodes
-    slots = spec.slot_count
+    n, slots = spec.n_nodes, spec.slot_count
     probs = np.zeros((n, n, slots))
-    for u in range(1, slots + 1):
-        column = tau.rates[:, u - 1]
-        key = (u, column.tobytes())
-        if key in cache:
-            probs[:, :, u - 1] = cache[key]
-            continue
-        active = np.flatnonzero(column > 0.0).tolist()
-        idle = [k for k in range(n) if k not in active]
-        # (endpoints dropped from A, links): both idle, one active, both active.
-        groups = [((), [(i, j) for i in idle for j in idle if i != j])]
-        groups += [((a,), [(a, j) for j in idle] + [(i, a) for i in idle]) for a in active]
-        groups += [((a, b), [(a, b), (b, a)]) for a in active for b in active if a < b]
-        for dropped, links in groups:
-            pool = [k for k in active if k not in dropped]
-            if len(pool) <= EXACT_CAP:
-                values = _pool_average(spec, column, pool, links)
-            else:
-                values = [channel_probability_sampled(
-                    spec, tau, i + 1, j + 1, u, SAMPLES,
-                    seed=_link_seed(SAMPLE_SEED, i + 1, j + 1, u))[0] for i, j in links]
-            for (i, j), p in zip(links, values):
-                probs[i, j, u - 1] = p
-        cache[key] = probs[:, :, u - 1].copy()
+    keys = [(u, tau.rates[:, u].tobytes()) for u in range(slots)]
+    miss = [u for u, key in enumerate(keys) if key not in cache]
+    for u, key in enumerate(keys):
+        probs[:, :, u] = cache.get(key, 0.0)  # a missed slice is computed below
+    if not miss:
+        return ChannelMatrix(n, slots, probs)
+    # Every ordered link (i, j, u) of the missed slots, with its pool as a
+    # mask over the nodes active in some missed slot.
+    active = tau.rates[:, miss] > 0.0
+    nodes = np.flatnonzero(active.any(axis=1))
+    i, j, s = np.nonzero(~np.eye(n, dtype=bool)[:, :, None].repeat(len(miss), axis=2))
+    pools = active[nodes, s[:, None]] & (nodes != i[:, None]) & (nodes != j[:, None])
+    sizes = pools.sum(axis=1)
+    u = np.array(miss)[s]
+    power = spec.radio.tx_power * gain_matrix(spec)
+    for m in sorted(set(sizes.tolist())):  # np.unique alone adds 0.25 MB of resident code
+        at = np.flatnonzero(sizes == m)
+        pool = nodes[np.nonzero(pools[at])[1]].reshape(len(at), m)
+        snd, rcv, slot = i[at], j[at], u[at]
+        if m <= EXACT_CAP:
+            probs[snd, rcv, slot] = _pool_average(spec.radio, power[snd, rcv],
+                                                  power[pool, rcv[:, None]],
+                                                  tau.rates[pool, slot[:, None]])
+        else:
+            probs[snd, rcv, slot] = [channel_probability_sampled(
+                spec, tau, a + 1, b + 1, c + 1, SAMPLES,
+                seed=_link_seed(SAMPLE_SEED, a + 1, b + 1, c + 1))[0]
+                for a, b, c in zip(snd.tolist(), rcv.tolist(), slot.tolist())]
+    for v in miss:
+        cache[keys[v]] = probs[:, :, v].copy()
     return ChannelMatrix(n, slots, probs)
 
 

@@ -66,8 +66,13 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(_round_floats(payload), indent=2) + "\n"
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _read(path, digests: dict[str, str]) -> bytes:
+    """The bytes of an input file, read once; their sha256 goes into
+    ``digests`` under the path, so a manifest names the content the run
+    parsed even when the file changes while the run goes on."""
+    data = Path(path).read_bytes()
+    digests[str(Path(path))] = hashlib.sha256(data).hexdigest()
+    return data
 
 
 def finite(text: str) -> float:
@@ -108,7 +113,7 @@ def _resolve_threads(value) -> int:
 
 
 def _manifest(
-    subcommand: str, args: argparse.Namespace, inputs: list[str], wall: float
+    subcommand: str, args: argparse.Namespace, digests: dict[str, str], wall: float
 ) -> dict:
     flags = {
         k: (str(v) if isinstance(v, Path) else v)
@@ -123,7 +128,7 @@ def _manifest(
         "scipy": scipy.__version__,
         "subcommand": subcommand,
         "flags": flags,
-        "inputs": {str(Path(p)): _sha256(Path(p)) for p in inputs},
+        "inputs": digests,
         "wall_time_s": wall,
     }
     if subcommand == "oracle":
@@ -137,42 +142,41 @@ def _write_manifest(path: Path, manifest: dict) -> None:
     path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _load_strategy(args):
+def _load_strategy(args, digests: dict[str, str]):
     """The evaluate/oracle inputs and the channel they induce (dumped on request)."""
-    spec = load_network(Path(args.topology).read_bytes())
-    tau = RateMatrix.from_json(spec, Path(args.tau).read_bytes())
-    X = ForwardingMatrix.from_json(
-        Path(args.x).read_bytes(), spec.n_nodes, spec.slot_count
-    )
+    spec = load_network(_read(args.topology, digests))
+    tau = RateMatrix.from_json(spec, _read(args.tau, digests))
+    X = ForwardingMatrix.from_json(_read(args.x, digests), spec.n_nodes, spec.slot_count)
     channel = channel_matrix(tau, spec)
     if args.dump_channels:
         Path(args.dump_channels).write_text(_dump_json(channel.to_json_dict()))
     return spec, tau, X, channel
 
 
-def _write_result(subcommand: str, args, payload: dict, started: float) -> int:
+def _write_result(subcommand: str, args, payload: dict, digests: dict, started: float) -> int:
     """Print an evaluate/oracle result; with --output also write it and its manifest."""
     text = _dump_json(payload)
     sys.stdout.write(text)
     if args.output:
         out = Path(args.output)
         out.write_text(text)
-        inputs = [args.topology, args.tau, args.x]
-        manifest = _manifest(subcommand, args, inputs, time.perf_counter() - started)
+        manifest = _manifest(subcommand, args, digests, time.perf_counter() - started)
         _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), manifest)
     return 0
 
 
 def cmd_evaluate(args) -> int:
     started = time.perf_counter()
-    spec, tau, X, channel = _load_strategy(args)
+    digests = {}
+    spec, tau, X, channel = _load_strategy(args, digests)
     criteria = evaluate(tau, X, spec, channel=channel, tolerance=args.tolerance)
-    return _write_result("evaluate", args, criteria.to_json_dict(), started)
+    return _write_result("evaluate", args, criteria.to_json_dict(), digests, started)
 
 
 def cmd_oracle(args) -> int:
     started = time.perf_counter()
-    spec, tau, X, channel = _load_strategy(args)
+    digests = {}
+    spec, tau, X, channel = _load_strategy(args, digests)
     threads = _resolve_threads(args.threads)
     try:
         config = SimConfig(
@@ -187,12 +191,13 @@ def cmd_oracle(args) -> int:
     estimate = simulate(
         tau, X, spec, config, channel=channel, tolerance=args.tolerance
     )
-    return _write_result("oracle", args, estimate.to_json_dict(), started)
+    return _write_result("oracle", args, estimate.to_json_dict(), digests, started)
 
 
 def cmd_search(args) -> int:
     started = time.perf_counter()
-    spec = load_network(Path(args.topology).read_bytes())
+    digests = {}
+    spec = load_network(_read(args.topology, digests))
     grid = RateGrid.parse(args.grid)
     senses = ObjectiveSense.parse(args.objectives)
     thresholds = PruneThresholds(
@@ -201,7 +206,7 @@ def cmd_search(args) -> int:
     source_rates = None
     if args.sources is not None:
         # The search checks the shape, and every RateMatrix the range.
-        document = read_object(Path(args.sources).read_bytes(), "source-rate")
+        document = read_object(_read(args.sources, digests), "source-rate")
         source_rates = np.asarray(require_rows(document, "sources", "source-rate document"))
 
     result = exhaustive_search(
@@ -242,8 +247,7 @@ def cmd_search(args) -> int:
         writer.writerow(["solution_id", "f", "f_c", "f_d", "f_e", "tau_path", "x_path"])
         writer.writerows(rows)
 
-    inputs = [args.topology] + ([args.sources] if args.sources is not None else [])
-    manifest = _manifest("search", args, inputs, time.perf_counter() - started)
+    manifest = _manifest("search", args, digests, time.perf_counter() - started)
     _write_manifest(out_dir / "manifest.json", manifest)
 
     sys.stdout.write(
@@ -272,7 +276,8 @@ def _build_parser() -> _Parser:
         type=int,
         default=None,
         help="oracle worker threads (default: PARETO_RELAY_THREADS or machine "
-        "count); search and evaluate run on one thread",
+        "count); search and evaluate start none, though their linear solve "
+        "wakes the BLAS thread pool (OPENBLAS_NUM_THREADS)",
     )
     common.add_argument(
         "--tolerance",

@@ -136,12 +136,14 @@ class NetworkSpec:
     def _gains(self) -> np.ndarray:
         # Computed on first use, so a coincident-node TopologyError surfaces
         # where the gains are needed; the spec is frozen, so it never goes stale.
+        # The distance and the power of (d_0 / d) are symmetric bit for bit,
+        # so each unordered pair is computed once, in the order that raises
+        # for the same first coincident pair as the ordered loop.
         n = self.n_nodes
         g = np.zeros((n, n))
-        for i in self.nodes:
-            for j in self.nodes:
-                if i.id != j.id:
-                    g[i.id - 1, j.id - 1] = pathloss_gain(i, j, self.radio)
+        for a, i in enumerate(self.nodes):
+            for j in self.nodes[a + 1:]:
+                g[i.id - 1, j.id - 1] = g[j.id - 1, i.id - 1] = pathloss_gain(i, j, self.radio)
         g.setflags(write=False)
         return g
 

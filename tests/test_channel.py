@@ -390,7 +390,7 @@ def test_channel_matrix_computes_gains_once_per_spec(monkeypatch):
     monkeypatch.setattr(channel, "SAMPLES", 10)
     channel_matrix(tau, spec)
     n = spec.n_nodes
-    assert len(calls) == n * (n - 1)
+    assert len(calls) == n * (n - 1) // 2
     with pytest.raises(ValueError):
         gain_matrix(spec)[0, 1] = 0.5
 
@@ -564,6 +564,60 @@ def test_channel_matrix_cap_splits_the_pools_of_one_slice(monkeypatch):
     off_diagonal = ~np.eye(spec.n_nodes, dtype=bool)
     same = (got[:, :, 0] == exact[:, :, 0])[off_diagonal]
     assert same.any() and not same.all()
+
+
+def test_channel_matrix_mixes_cached_and_missed_slots():
+    # Slot 1 of the second tau is a cache hit; its slots 2 and 3 hold the
+    # first tau's columns swapped, so they miss, with different active sets.
+    spec, tau = _wide_strategy(0)
+    cache = {}
+    channel_matrix(tau, spec, slot_cache=cache)
+    swapped = rate_matrix(spec, tau.rates[1:13][:, [0, 2, 1]], [[1.0, 0.0, 0.0]])
+    assert (swapped.rates[:, 1:] > 0).any(axis=0).all()
+    got = channel_matrix(swapped, spec, slot_cache=cache).probs
+    assert np.array_equal(got, _channel_matrix_reference(swapped, spec))
+    assert len(cache) == 5
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_channel_matrix_blocks_of_one_pool_size_match_reference(seed, monkeypatch):
+    # At 32 elements a block holds 4 links of 3 interferers, 1 from 5 on, so
+    # every group of links with more than 2 interferers spans several blocks.
+    monkeypatch.setattr(channel, "_BLOCK_ELEMENTS", 32)
+    spec, tau = _wide_strategy(seed)
+    got = channel_matrix(tau, spec).probs
+    assert np.array_equal(got, _channel_matrix_reference(tau, spec))
+
+
+def test_channel_matrix_averages_each_pool_size_once(monkeypatch):
+    spec, tau = _wide_strategy(0)
+    sizes = {
+        len(interference_candidates(tau, i, j, u))
+        for i in range(1, spec.n_nodes + 1)
+        for j in range(1, spec.n_nodes + 1)
+        for u in range(1, spec.slot_count + 1)
+        if i != j
+    }
+    calls = []
+    kernel = channel._pool_average
+
+    def spy(radio, signal, gains, rates):
+        calls.append(gains.shape[1])
+        return kernel(radio, signal, gains, rates)
+
+    monkeypatch.setattr(channel, "_pool_average", spy)
+    cache = {}
+    channel_matrix(tau, spec, slot_cache=cache)
+    assert sorted(calls) == sorted(sizes)
+    calls.clear()
+    channel_matrix(tau, spec, slot_cache=cache)
+    assert calls == []
+    # Above the cap, a pool size takes the sampled estimate, not the kernel.
+    cap = sorted(sizes)[len(sizes) // 2]
+    monkeypatch.setattr(channel, "EXACT_CAP", cap)
+    monkeypatch.setattr(channel, "SAMPLES", 16)
+    channel_matrix(tau, spec)
+    assert sorted(calls) == sorted(m for m in sizes if m <= cap)
 
 
 def test_channel_slice_memory_stays_near_one_link():

@@ -114,6 +114,41 @@ def test_evaluate_writes_output_and_manifest(workspace, capsys):
     assert "binomial_log_rule" not in manifest
 
 
+@pytest.mark.parametrize(
+    "stage, args, manifest",
+    [
+        ("evaluate", lambda ws, d: eval_args(ws, "--output", str(d / "c.json")),
+         "c.json.manifest.json"),
+        ("simulate", lambda ws, d: oracle_args(ws, "--output", str(d / "o.json")),
+         "o.json.manifest.json"),
+        ("exhaustive_search", lambda ws, d: search_args(ws, d / "front"),
+         "front/manifest.json"),
+    ],
+    ids=["evaluate", "oracle", "search"],
+)
+def test_manifest_digests_the_bytes_the_run_read(workspace, capsys, monkeypatch,
+                                                 stage, args, manifest):
+    # The stage after parsing rewrites every input; the manifest must keep
+    # the digests of what was parsed, not of what the files hold afterwards.
+    paths = [workspace[k] for k in ("topology", "tau_path", "x_path")]
+    before = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    original = getattr(pareto_relay.cli, stage)
+
+    def rewriting(*a, **kw):
+        for p in paths:
+            p.write_text(p.read_text() + "\n")
+        return original(*a, **kw)
+
+    monkeypatch.setattr(pareto_relay.cli, stage, rewriting)
+    d = workspace["dir"]
+    assert main(args(workspace, d)) == 0
+    capsys.readouterr()
+    inputs = json.loads((d / manifest).read_text())["inputs"]
+    assert inputs == {k: v for k, v in before.items() if k in inputs}
+    assert str(workspace["topology"]) in inputs
+    assert all(hashlib.sha256(p.read_bytes()).hexdigest() != before[str(p)] for p in paths)
+
+
 def test_evaluate_missing_file_exits_1(workspace, capsys):
     args = eval_args(workspace)
     args[args.index("--tau") + 1] = str(workspace["dir"] / "absent.json")

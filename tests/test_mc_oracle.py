@@ -512,12 +512,21 @@ import json, resource
 from pareto_relay import SimConfig, mc_oracle, simulate
 from test_mc_oracle import single_relay_fixture
 spec, tau, P, X, _ = single_relay_fixture()
+allocate = mc_oracle._Pool._allocate
+allocations = [0]
+
+def counting(pool, capacity):
+    allocations[0] += 1
+    allocate(pool, capacity)
+
+mc_oracle._Pool._allocate = counting
 
 def faults(blocks):
     config = SimConfig(n_packets=blocks * mc_oracle.BLOCK_SIZE, seed=0)
+    allocations[0] = 0
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     simulate(tau, X, spec, config, channel=P)
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, allocations[0]
 
 faults(2)
 print(json.dumps([faults(2), faults(16)]))
@@ -535,7 +544,12 @@ def test_block_arrays_are_not_faulted_in_per_block():
     the end of each block go back to the kernel and are faulted in again
     by the next, over 800 pages a block on this fixture. The calls run in
     a fresh interpreter: inside the test process, the heap that earlier
-    tests leave behind can hide the re-faulting."""
+    tests leave behind can hide the re-faulting.
+
+    Whether glibc hands freed arrays back depends on the heap's history,
+    so the faults alone can miss a fresh pool per block; the call's one
+    worker must also allocate its pool's arrays once, plus at most one
+    regrow."""
     tests = Path(__file__).resolve().parent
     src = Path(mc_oracle.__file__).resolve().parents[1]
     proc = subprocess.run(
@@ -544,8 +558,9 @@ def test_block_arrays_are_not_faulted_in_per_block():
         env={"PYTHONPATH": f"{src}{os.pathsep}{tests}", "OPENBLAS_NUM_THREADS": "1"},
     )
     assert proc.returncode == 0, proc.stderr
-    two, sixteen = json.loads(proc.stdout)
+    (two, two_pools), (sixteen, sixteen_pools) = json.loads(proc.stdout)
     assert sixteen <= two + 14 * 64, (two, sixteen)
+    assert 1 <= two_pools <= 2 and 1 <= sixteen_pools <= 2, (two_pools, sixteen_pools)
 
 
 def _first_uniform(u: float) -> np.random.Generator:

@@ -150,6 +150,49 @@ def test_gain_symmetric_and_monotone():
     )
 
 
+def _ordered_gains(spec):
+    """The gain of every ordered pair, each computed on its own."""
+    g = np.zeros((spec.n_nodes, spec.n_nodes))
+    for i in spec.nodes:
+        for j in spec.nodes:
+            if i.id != j.id:
+                g[i.id - 1, j.id - 1] = pathloss_gain(i, j, spec.radio)
+    return g
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gain_matrix_matches_every_ordered_pair(seed):
+    # Seeded positions on both sides of d_0, and exponents 2 to 4.
+    rng = np.random.default_rng(seed)
+    roles = ["source"] + ["relay"] * 7 + ["destination"]
+    nodes = [(k + 1, role, *rng.uniform(-3, 3, 2)) for k, role in enumerate(roles)]
+    radio = {"pathloss_exponent": float(rng.uniform(2, 4)), "reference_distance_m": 1.5}
+    spec = make_spec(nodes, radio=radio)
+    assert np.array_equal(gain_matrix(spec), _ordered_gains(spec))
+    # (d_0 / d)^alpha beyond the float range stays clamped
+    far = make_spec(nodes, radio={"reference_distance_m": 1e300})
+    assert np.array_equal(gain_matrix(far), _ordered_gains(far))
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [
+        # 2 and 3 coincide, and so do 1 and 4: the ordered loop meets (1, 4) first
+        [(0, 0), (1, 1), (1, 1), (0, 0)],
+        [(0, 0), (1, 1), (2, 0), (3, 3), (1, 1)],
+        [(0, 0), (1, 1), (2, 2), (2, 2), (1, 1), (0, 0)],
+    ],
+)
+def test_gain_matrix_names_the_first_coincident_pair(positions):
+    roles = ["source"] + ["relay"] * (len(positions) - 2) + ["destination"]
+    spec = make_spec([(k + 1, roles[k], x, y) for k, (x, y) in enumerate(positions)])
+    with pytest.raises(TopologyError) as want:
+        _ordered_gains(spec)
+    with pytest.raises(TopologyError) as got:
+        gain_matrix(spec)
+    assert str(got.value) == str(want.value)
+
+
 def test_serialize_round_trip():
     spec = load_network(_doc(FOUR_NODES, slots=3))
     again = load_network(serialize_network(spec))
