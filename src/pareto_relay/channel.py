@@ -7,7 +7,8 @@ that subset transmits concurrently. Interference is additive noise; the
 packet success rate comes from an uncoded BPSK/AWGN bit error rate.
 ``channel_matrix`` takes the links of every uncached slot together and
 averages all links with m interferers in one subset lattice, one row per
-link, with one ``np.dot`` per link.
+link; each block of rows ends in one stacked row-by-column ``np.matmul``,
+which numpy computes with the dot kernel of a per-link ``np.dot``.
 """
 
 from __future__ import annotations
@@ -64,22 +65,24 @@ def interference_candidates(
 _BLOCK_ELEMENTS = 1 << 12
 
 
-def _pool_average(radio, signal: np.ndarray, gains: np.ndarray, rates: np.ndarray) -> list[float]:
+def _pool_average(radio, signal: np.ndarray, gains: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """p of each row r: a link received at power ``signal[r]`` whose m
     interferers (ascending node id) reach its receiver at powers
     ``gains[r]`` and send at ``rates[r]``.
 
     The 2^m subsets are built by doubling, one interferer at a time, into
     the halves of a preallocated lattice: the IEEE operations, in the
-    order, of a per-link loop. Each row ends in its own ``np.dot``; a
-    matrix-vector product, or a plain loop without FMA, sums otherwise and
-    differs from it from length 2 on.
+    order, of a per-link loop. Each block ends in one stacked
+    ``(r, 1, 2^m) @ (r, 2^m, 1)`` matmul: a row times a column with a 1x1
+    output, which numpy computes with the same dot kernel as one ``np.dot``
+    per row. A matrix-vector product, ``np.einsum``, or a plain loop
+    without FMA sums otherwise and differs from it from length 2 on.
     """
     m = gains.shape[1]
     rows = max(1, _BLOCK_ELEMENTS >> m)
     interf = np.empty((min(rows, len(signal)), 1 << m))
     prob = np.empty_like(interf)
-    out = []
+    out = np.empty(len(signal))
     for at in range(0, len(signal), rows):
         g, t = gains[at:at + rows], rates[at:at + rows]
         i, p = interf[:len(g)], prob[:len(g)]
@@ -92,7 +95,7 @@ def _pool_average(radio, signal: np.ndarray, gains: np.ndarray, rates: np.ndarra
         success = packet_success(
             signal[at:at + rows, None] / (radio.noise_power + i), radio.packet_bits
         )
-        out += [float(np.dot(a, b)) for a, b in zip(p, success)]
+        np.matmul(p[:, None, :], success[:, :, None], out=out[at:at + rows, None, None])
     return out
 
 
@@ -118,7 +121,7 @@ def channel_probability_exact(
     power = spec.radio.tx_power * gain_matrix(spec)[:, receiver - 1]
     return _pool_average(
         spec.radio, power[[sender - 1]], power[None, pool], tau.rates[None, pool, slot - 1]
-    )[0]
+    )[0].item()
 
 
 def channel_probability_sampled(
@@ -233,8 +236,10 @@ def channel_matrix(
     of the slot's active set A. The links of every slot that misses the
     cache are grouped by pool size m, across pools and slots, and each
     group within ``EXACT_CAP`` is one ``_pool_average`` call whose rows
-    carry their own gains, rates and signal; each link still ends in its
-    own ``np.dot``, so the result is bit for bit that of a per-link loop.
+    carry their own gains, rates and signal; each block of links ends in
+    one stacked ``np.matmul`` that numpy computes with the dot kernel of a
+    per-link ``np.dot``, so the result is bit for bit that of a per-link
+    loop.
     The links of a larger pool take the seeded sampled estimate.
 
     The slice of slot u depends only on the geometry and on column u of tau

@@ -620,6 +620,40 @@ def test_channel_matrix_averages_each_pool_size_once(monkeypatch):
     assert sorted(calls) == sorted(m for m in sizes if m <= cap)
 
 
+@pytest.mark.parametrize("m, rows", [(0, 67), (1, 67), (2, 67), (5, 67), (12, 5), (16, 3)])
+def test_pool_average_matches_one_dot_per_row(m, rows, monkeypatch):
+    # At 64 elements a block holds 64, 32, 16 and 2 rows of 0, 1, 2 and 5
+    # interferers, so 67 rows span several blocks and end in a short one;
+    # from 12 interferers on every block holds one row.
+    monkeypatch.setattr(channel, "_BLOCK_ELEMENTS", 64)
+    radio = line_spec().radio
+    rng = np.random.default_rng([m, rows])
+    signal = rng.uniform(0.5, 5.0, rows)
+    gains = rng.uniform(0.0, 0.5, (rows, m))
+    rates = rng.uniform(0.0, 1.0, (rows, m))
+    want = []
+    for s, g, t in zip(signal, gains, rates):
+        interf, prob = np.zeros(1), np.ones(1)
+        for gk, tk in zip(g, t):
+            interf = np.concatenate([interf, interf + gk])
+            prob = np.concatenate([prob * (1.0 - tk), prob * tk])
+        success = packet_success(s / (radio.noise_power + interf), radio.packet_bits)
+        want.append(float(np.dot(prob, success)))
+    got = channel._pool_average(radio, signal, gains, rates)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+
+
+def test_exact_probability_is_a_float_equal_to_the_channel_matrix():
+    spec, tau = _wide_strategy(0)
+    probs = channel_matrix(tau, spec)
+    links = [(1, 14, 2), (1, 14, 3), (14, 1, 2), (2, 1, 1)]
+    assert max(len(interference_candidates(tau, *link)) for link in links) >= 4
+    for link in links:
+        got = channel_probability_exact(spec, tau, *link)
+        assert type(got) is float
+        assert got.hex() == probs.p(*link).hex()
+
+
 def test_channel_slice_memory_stays_near_one_link():
     # Sixteen transmitters share the pool of every link between the four idle
     # nodes; a slice may hold no more at once than about one such link does.
