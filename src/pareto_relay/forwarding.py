@@ -16,7 +16,6 @@ point, so the samples are not uniform on such a constraint.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ from .errors import (
     ModelViolationError,
     SchemaError,
 )
-from .rates import DEFAULT_TOLERANCE, RateMatrix, relay_transmission_index
+from .rates import DEFAULT_TOLERANCE, RateMatrix
 from .topology import NetworkSpec, read_object, sparse_entries
 
 MAX_REJECTION_ATTEMPTS = 200
@@ -136,24 +135,29 @@ def check_forwarder_roles(X: ForwardingMatrix, tau: RateMatrix) -> None:
         )
 
 
-def _feeder_columns(
-    tau: RateMatrix, P: ChannelMatrix, constraints: Iterable[tuple[int, int]]
-) -> Iterator[list[tuple[int, int, float]]]:
-    # The terms of each constraint (forwarder j, out-slot v) in turn, from
-    # one gather of the channel from every active transmission (i, u) to
-    # every node. Each coefficient is (tau_i^u * p_ij^u) * (1 - tau_j^v); the
-    # channel's diagonal is 0, so a forwarder's own transmissions drop out.
-    rows, slots = tau.active_coords
-    rates = tau.rates.tolist()
-    senders = [(i + 1, u + 1, rates[i][u]) for i, u in zip(rows.tolist(), slots.tolist())]
-    channel = P.probs[rows, :, slots].T.tolist()
-    for j, v in constraints:
-        listen = 1.0 - rates[j - 1][v - 1]
-        yield [
-            (i, u, c)
-            for (i, u, t), p in zip(senders, channel[j - 1])
-            if (c := t * p * listen) > 0.0
-        ]
+def coupling(tau: RateMatrix, P: ChannelMatrix, i, u, j, v) -> np.ndarray:
+    """tau_i^u * p_ij^u * (1 - tau_j^v), the coefficient of x_ij^{uv} in the
+    coupling constraint at (j, v), on 0-based node and slot index arrays that
+    broadcast together. The channel's diagonal is 0, so it is 0 for i == j."""
+    return tau.rates[i, u] * P.probs[i, j, u] * (1.0 - tau.rates[j, v])
+
+
+def _constraints(
+    tau: RateMatrix, P: ChannelMatrix
+) -> list[tuple[int, int, float, list[tuple[int, int, float]]]]:
+    # (j, v, tau_j^v, terms) per active relay transmission, in relay_coords
+    # order; terms holds (i, u, coefficient) per active transmission (i, u)
+    # with a positive coefficient. All indices are 0-based.
+    i, u = tau.active_coords
+    j, v = tau.relay_coords
+    senders = list(zip(i.tolist(), u.tolist()))
+    columns = coupling(tau, P, i[:, None], u[:, None], j, v).T.tolist()
+    return [
+        (jk, vk, t_out, [(a, b, c) for (a, b), c in zip(senders, column) if c > 0.0])
+        for jk, vk, t_out, column in zip(
+            j.tolist(), v.tolist(), tau.rates[j, v].tolist(), columns
+        )
+    ]
 
 
 def feeder_terms(
@@ -165,7 +169,11 @@ def feeder_terms(
     another node with a usable channel; coefficient multiplies the matching
     x entry. Zero-coefficient terms are dropped since their x is irrelevant.
     """
-    return next(_feeder_columns(tau, P, [(forwarder, out_slot)]))
+    i, u = tau.active_coords
+    column = coupling(tau, P, i, u, forwarder - 1, out_slot - 1).tolist()
+    return [
+        (a + 1, b + 1, c) for a, b, c in zip(i.tolist(), u.tolist(), column) if c > 0.0
+    ]
 
 
 def consistency_residuals(
@@ -179,13 +187,10 @@ def consistency_residuals(
     the tolerance."""
     i, u = (c[:, None] for c in tau.active_coords)
     j, v = tau.relay_coords
-    t_out = tau.rates[j, v]
-    # One row per active transmission (i, u), one column per (j, v); the
-    # channel's diagonal is 0, so i == j adds nothing.
-    inflow = (
-        tau.rates[i, u] * P.probs[i, j, u] * (1.0 - t_out) * X.values[i, j, u, v]
-    ).sum(axis=0)
-    residuals = dict(zip(relay_transmission_index(tau), (inflow - t_out).tolist()))
+    # One row per active transmission (i, u), one column per (j, v).
+    inflow = (coupling(tau, P, i, u, j, v) * X.values[i, j, u, v]).sum(axis=0)
+    keys = zip((j + 1).tolist(), (v + 1).tolist())
+    residuals = dict(zip(keys, (inflow - tau.rates[j, v]).tolist()))
     return ConsistencyReport(residuals, tolerance)
 
 
@@ -197,31 +202,30 @@ def solve_chain_closed_form(
 ) -> ForwardingMatrix:
     """Solve the coupling constraints when each has exactly one feeder term.
 
-    The unique solution is x = tau_j^v / (tau_i^u * p_ij^u * (1 - tau_j^v)).
-    Raises when a constraint has several feeders (no closed form), none at
-    all, or demands x outside [0, 1].
+    The unique solution is x = tau_j^v / (tau_i^u * p_ij^u * (1 - tau_j^v));
+    with no active relay transmission it is the zero matrix. Raises when a
+    constraint has several feeders (no closed form), none at all, or
+    demands x outside [0, 1].
     """
     values = np.zeros((spec.n_nodes, spec.n_nodes, spec.slot_count, spec.slot_count))
-    index = relay_transmission_index(tau)
-    for (j, v), terms in zip(index, _feeder_columns(tau, P, index)):
-        t_out = tau.rate(j, v)
+    for j, v, t_out, terms in _constraints(tau, P):
         if not terms:
             raise InfeasibleTauError(
-                f"relay {j} transmits in slot {v} but receives no flow"
+                f"relay {j + 1} transmits in slot {v + 1} but receives no flow"
             )
         if len(terms) > 1:
             raise ClosedFormNotApplicableError(
-                f"(node {j}, slot {v}) has {len(terms)} feeder terms; the "
+                f"(node {j + 1}, slot {v + 1}) has {len(terms)} feeder terms; the "
                 f"closed form needs exactly one"
             )
         i, u, coeff = terms[0]
         x = t_out / coeff
         if x > 1.0 + tolerance:
             raise InfeasibleRateError(
-                f"(node {j}, slot {v}) needs forwarding probability {x:.6g} > 1; "
-                f"tau is too fast for the incoming flow"
+                f"(node {j + 1}, slot {v + 1}) needs forwarding probability "
+                f"{x:.6g} > 1; tau is too fast for the incoming flow"
             )
-        values[i - 1, j - 1, u - 1, v - 1] = min(x, 1.0)
+        values[i, j, u, v] = min(x, 1.0)
     return ForwardingMatrix(values)
 
 
@@ -251,14 +255,12 @@ def sample_feasible_forwarding(
     if count < 1:
         raise ValueError("count must be >= 1")
     constraints = []
-    index = relay_transmission_index(tau)
-    for (j, v), terms in zip(index, _feeder_columns(tau, P, index)):
-        t_out = tau.rate(j, v)
+    for j, v, t_out, terms in _constraints(tau, P):
         total = sum(c for _, _, c in terms)
         if not terms or total + tolerance < t_out:
             raise InfeasibleTauError(
-                f"relay {j} in slot {v} needs inflow {t_out:.6g} but at most "
-                f"{total:.6g} is reachable even at full forwarding"
+                f"relay {j + 1} in slot {v + 1} needs inflow {t_out:.6g} but at "
+                f"most {total:.6g} is reachable even at full forwarding"
             )
         coeffs = np.array([c for _, _, c in terms])
         constraints.append((j, v, t_out, terms, total, coeffs))
@@ -291,6 +293,6 @@ def sample_feasible_forwarding(
                 # proportional solution instead of rejecting forever.
                 xs = np.full(len(terms), t_out / total)
             for (i, u, _), x in zip(terms, xs):
-                values[i - 1, j - 1, u - 1, v - 1] = min(float(x), 1.0)
+                values[i, j, u, v] = min(float(x), 1.0)
         out.append(ForwardingMatrix(values))
     return out

@@ -33,7 +33,6 @@ from .rates import (
     RateGrid,
     RateMatrix,
     enumerate_rate_matrices,
-    relay_transmission_index,
 )
 from .steady_state import CriteriaVector, check_strategy, evaluate
 from .topology import NetworkSpec
@@ -282,11 +281,10 @@ def _forwardings(
     tau: RateMatrix, P: ChannelMatrix, spec: NetworkSpec, x_samples: int,
     seed: int, tau_idx: int, tolerance: float,
 ) -> list[ForwardingMatrix]:
-    """The forwarding matrices to evaluate for ``tau``: the zero matrix when
-    no relay transmits, else the closed form, else ``x_samples`` draws of
-    the sampler. Raises :class:`InfeasibleError` when tau admits none."""
-    if not relay_transmission_index(tau):
-        return [ForwardingMatrix.zeros(spec.n_nodes, spec.slot_count)]
+    """The forwarding matrices to evaluate for ``tau``: the closed form,
+    which is the zero matrix when no relay transmits, else ``x_samples``
+    draws of the sampler. Raises :class:`InfeasibleError` when tau admits
+    none."""
     try:
         return [solve_chain_closed_form(tau, P, spec, tolerance)]
     except ClosedFormNotApplicableError:

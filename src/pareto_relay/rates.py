@@ -61,11 +61,12 @@ class RateMatrix:
     ``rates`` is one read-only ``(n_nodes, slot_count)`` array: row ``i - 1``
     is node ``i`` and column ``u - 1`` is slot ``u``; destination rows are 0.
     ``relay_rates`` and ``source_rates`` are its relay and source rows, in
-    ``relay_ids`` and ``source_ids`` order. Slots are 1-based in the API,
-    matching the frame. ``active_coords`` holds the 0-based (rows, columns)
-    of every positive rate, sorted by node then slot; ``relay_coords`` holds
-    those of the relays, the order of Q's rows and of the forwarding
-    constraints.
+    ``relay_ids`` and ``source_ids`` order. ``rate`` and ``row`` take 1-based
+    node ids and slots, matching the documents. ``active_coords`` holds the
+    0-based (rows, columns) of every positive rate, sorted by node then
+    slot; ``relay_coords`` holds those of the relays. The model indexes
+    ``rates`` with them directly: ``relay_coords`` orders Q's rows and
+    columns and the forwarding constraints.
     """
 
     def __init__(self, spec: NetworkSpec, relay_rates, source_rates):
@@ -107,15 +108,12 @@ class RateMatrix:
 
     @cached_property
     def _active(self) -> "ActiveSet":
-        pairs = _one_based(self.active_coords)
+        rows, slots = self.active_coords
+        pairs = tuple(zip((rows + 1).tolist(), (slots + 1).tolist()))
         by_slot = {
             u: tuple(i for i, w in pairs if w == u) for u in range(1, self.slot_count + 1)
         }
         return ActiveSet(transmissions=frozenset(pairs), by_slot=by_slot)
-
-    @cached_property
-    def _relay_index(self) -> tuple[tuple[int, int], ...]:
-        return _one_based(self.relay_coords)
 
     @classmethod
     def for_network(cls, spec: NetworkSpec, relay_rates, source_rates) -> "RateMatrix":
@@ -186,20 +184,9 @@ class ActiveSet:
         return pair in self.transmissions
 
 
-def _one_based(coords) -> tuple[tuple[int, int], ...]:
-    rows, slots = coords
-    return tuple(zip((rows + 1).tolist(), (slots + 1).tolist()))
-
-
 def active_set(tau: RateMatrix) -> ActiveSet:
     """The active set of ``tau``, computed once when the matrix is built."""
     return tau._active
-
-
-def relay_transmission_index(tau: RateMatrix) -> tuple[tuple[int, int], ...]:
-    """Active relay transmissions (node, slot), sorted: the rows and columns
-    of Q and the order of the forwarding constraints."""
-    return tau._relay_index
 
 
 def incoming_rates(tau: RateMatrix, channel) -> np.ndarray:

@@ -29,13 +29,17 @@ from .errors import (
     NumericalError,
     SchemaError,
 )
-from .forwarding import ForwardingMatrix, check_forwarder_roles, consistency_residuals
+from .forwarding import (
+    ForwardingMatrix,
+    check_forwarder_roles,
+    consistency_residuals,
+    coupling,
+)
 from .rates import (
     DEFAULT_TOLERANCE,
     RateMatrix,
     check_flow_conservation,
     check_half_duplex,
-    relay_transmission_index,
 )
 from .topology import NetworkSpec
 
@@ -65,7 +69,6 @@ def build_relaying_matrix(
 ) -> np.ndarray:
     """Q[(i,u),(j,v)] = p_ij^u * (1 - tau_j^v) * x_ij^{uv} over the active
     relay transmissions; zero on same-node pairs. Entries must stay < 1."""
-    index = relay_transmission_index(tau)
     i, u = tau.relay_coords
     # Rows (i, u) and columns (j, v) run over the same transmissions; the
     # channel's diagonal is 0, so Q is 0 on same-node pairs.
@@ -76,7 +79,8 @@ def build_relaying_matrix(
     if Q.size and np.max(Q) >= 1.0:
         a, b = np.unravel_index(int(np.argmax(Q)), Q.shape)
         raise ModelViolationError(
-            f"relaying probability from {index[a]} to {index[b]} reaches "
+            f"relaying probability from ({i[a] + 1}, {u[a] + 1}) to "
+            f"({i[b] + 1}, {u[b] + 1}) reaches "
             f"{Q[a, b]:.6g}; the flow recursion needs every entry < 1"
         )
     return Q
@@ -97,7 +101,6 @@ def build_arrival_matrix(
 
 
 def build_initial_flow(
-    source_rates: np.ndarray,
     X: ForwardingMatrix,
     tau: RateMatrix,
     P: ChannelMatrix,
@@ -108,21 +111,13 @@ def build_initial_flow(
     Relay component (j,v): sum_u tau_S^u * p_Sj^u * (1 - tau_j^v) * x_Sj^{uv};
     direct component (d,u): tau_S^u * p_Sd^u.
     """
-    source_rates = np.asarray(source_rates, dtype=float)
     sources = np.array(spec.source_ids) - 1
-    if source_rates.shape != (len(sources), spec.slot_count):
-        raise SchemaError(
-            f"source rates must have shape ({len(sources)}, {spec.slot_count})"
-        )
     j, v = tau.relay_coords
     S, u = sources[:, None], np.arange(spec.slot_count)[:, None, None]
     # Axis 0 is the in-slot u; a cumulative sum adds the slots in order.
-    relay = np.add.accumulate(
-        source_rates.T[:, :, None] * P.probs[S, j, u] * (1.0 - tau.rates[j, v])
-        * X.values[S, j, u, v]
-    )[-1]
+    relay = np.add.accumulate(coupling(tau, P, S, u, j, v) * X.values[S, j, u, v])[-1]
     dests = np.array(spec.destination_ids) - 1
-    direct = source_rates[:, None, :] * P.probs[S, dests]
+    direct = tau.rates[S] * P.probs[S, dests]
     return np.concatenate([relay, direct.reshape(len(sources), -1)], axis=1)
 
 
@@ -195,13 +190,13 @@ def build_transition_system(
     spec: NetworkSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Q, D and F1 of the strategy: rows and columns of Q and rows of D run
-    over ``relay_transmission_index(tau)``, D's columns over (destination,
-    slot) pairs, and each source's F1 row holds l relay then m direct
-    components."""
+    over the active relay transmissions in ``tau.relay_coords`` order, D's
+    columns over (destination, slot) pairs, and each source's F1 row holds l
+    relay then m direct components."""
     return (
         build_relaying_matrix(X, tau, P),
         build_arrival_matrix(tau, P, spec),
-        build_initial_flow(tau.source_rates, X, tau, P, spec),
+        build_initial_flow(X, tau, P, spec),
     )
 
 

@@ -228,7 +228,9 @@ def require_objects(doc: dict, key: str):
 def sparse_entries(doc: dict, key: str, value: str, bounds: dict[str, int]):
     """Yield ``(*indices, value)`` for every object in the list ``doc[key]``:
     each index named in ``bounds`` must be a JSON integer in 1..bound and is
-    yielded 0-based; the value must be a finite number."""
+    yielded 0-based; the value must be a finite number. An index tuple may
+    appear only once."""
+    seen = set()
     for where, entry in require_objects(doc, key):
         indices = []
         for name, bound in bounds.items():
@@ -236,7 +238,12 @@ def sparse_entries(doc: dict, key: str, value: str, bounds: dict[str, int]):
             if not 1 <= index <= bound:
                 raise SchemaError(f"{where}.{name} must lie in 1..{bound}, got {index}")
             indices.append(index - 1)
-        yield (*indices, require(entry, value, float, where))
+        key = tuple(indices)
+        if key in seen:
+            named = ", ".join(f"{name}={k + 1}" for name, k in zip(bounds, key))
+            raise SchemaError(f"{where} repeats the entry at {named}")
+        seen.add(key)
+        yield (*key, require(entry, value, float, where))
 
 
 def load_network(document) -> NetworkSpec:

@@ -156,6 +156,19 @@ def test_evaluate_missing_file_exits_1(workspace, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_evaluate_repeated_x_entry_exits_1(workspace, capsys):
+    # The document holds the closed form's one entry; a repeat of its
+    # indices used to replace its x and fail the consistency gate (exit 2).
+    doc = workspace["X"].to_json_dict()
+    (entry,) = doc["entries"]
+    doc["entries"].append({**entry, "x": 0.6})
+    workspace["x_path"].write_text(json.dumps(doc))
+    assert main(eval_args(workspace)) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "entries[1] repeats the entry at i=1, j=2, u=1, v=2" in err
+
+
 def test_evaluate_infeasible_rates_exit_2(workspace, capsys):
     spec = workspace["spec"]
     too_fast = rate_matrix(spec, [[0.6, 0.6]], [[1.0, 0.0]])

@@ -22,7 +22,6 @@ from pareto_relay.forwarding import (
     check_forwarder_roles,
     feeder_terms,
 )
-from pareto_relay.rates import relay_transmission_index
 
 from conftest import injected_channel, line_spec, make_spec, rate_matrix
 
@@ -112,20 +111,27 @@ def test_closed_form_idle_relay_yields_zero_matrix():
 def test_closed_form_infeasible_rate():
     # 0.4 / (1.0 * 0.5 * 0.6) = 1.33 > 1: no forwarding probability works
     spec, tau, P = chain_setup(tau_r=0.4, p_sr=0.5)
-    with pytest.raises(InfeasibleRateError):
+    with pytest.raises(
+        InfeasibleRateError,
+        match=r"^\(node 2, slot 2\) needs forwarding probability 1\.33333 > 1;",
+    ):
         solve_chain_closed_form(tau, P, spec)
 
 
 def test_closed_form_starved_relay():
     spec, tau, _ = chain_setup()
     P = injected_channel(3, 2, {(2, 3, 2): 0.9})
-    with pytest.raises(InfeasibleTauError):
+    with pytest.raises(
+        InfeasibleTauError, match=r"^relay 2 transmits in slot 2 but receives no flow$"
+    ):
         solve_chain_closed_form(tau, P, spec)
 
 
 def test_closed_form_rejects_multiple_feeders():
     spec, tau, P = two_source_setup()
-    with pytest.raises(ClosedFormNotApplicableError):
+    with pytest.raises(
+        ClosedFormNotApplicableError, match=r"^\(node 3, slot 2\) has 2 feeder terms;"
+    ):
         solve_chain_closed_form(tau, P, spec)
 
 
@@ -177,7 +183,9 @@ def test_sampler_prefix_stability():
 def test_sampler_detects_unreachable_rate():
     # even x = 1 everywhere cannot carry 0.9 through a 0.08 pipe
     spec, tau, P = chain_setup(tau_r=0.9, p_sr=0.8)
-    with pytest.raises(InfeasibleTauError):
+    with pytest.raises(
+        InfeasibleTauError, match=r"^relay 2 in slot 2 needs inflow 0\.9 but at most 0\.08 "
+    ):
         sample_feasible_forwarding(tau, P, spec, count=1, seed=0)
 
 
@@ -211,7 +219,8 @@ def _sampler_reference(tau, P, spec, count, seed):
     one Dirichlet call per attempt. Returns the forwarding values and how
     many draws each constraint used."""
     constraints = []
-    for j, v in relay_transmission_index(tau):
+    rows, slots = tau.relay_coords
+    for j, v in zip((rows + 1).tolist(), (slots + 1).tolist()):
         terms = feeder_terms(tau, P, j, v)
         constraints.append((j, v, tau.rate(j, v), terms, sum(c for _, _, c in terms)))
     out, used = [], []

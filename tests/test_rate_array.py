@@ -30,7 +30,7 @@ from pareto_relay import (
 from pareto_relay.forwarding import feeder_terms
 from pareto_relay.mc_oracle import _injections
 from pareto_relay.pareto import tau_flow_rate
-from pareto_relay.rates import incoming_rates, relay_transmission_index
+from pareto_relay.rates import incoming_rates
 from pareto_relay.steady_state import (
     build_arrival_matrix,
     build_initial_flow,
@@ -334,7 +334,8 @@ def test_rate_array_matches_split_layout_loops(name):
                 assert tau.rate(i, u) == ref.rate(i, u)
         assert active_set(tau).transmissions == ref.transmissions
         assert active_set(tau).by_slot == ref.by_slot
-        assert relay_transmission_index(tau) == ref.relay_index
+        rows, slots = tau.relay_coords
+        assert tuple(zip((rows + 1).tolist(), (slots + 1).tolist())) == ref.relay_index
 
         for j in nodes:
             want_per_slot, _ = _incoming_rate_reference(j, ref, P)
@@ -343,8 +344,10 @@ def test_rate_array_matches_split_layout_loops(name):
         assert check_flow_conservation(tau, P).entries == flow
         assert check_half_duplex(tau, P).entries == duplex
 
-        for j, v in ref.relay_index:
-            assert feeder_terms(tau, P, j, v) == _feeder_terms_reference(ref, P, j, v)
+        for j in nodes:
+            for v in range(1, spec.slot_count + 1):
+                want = _feeder_terms_reference(ref, P, j, v)
+                assert feeder_terms(tau, P, j, v) == want
         got = consistency_residuals(X, tau, P).residuals
         want = _residuals_reference(X, ref, P)
         assert got.keys() == want.keys()
@@ -357,7 +360,7 @@ def test_rate_array_matches_split_layout_loops(name):
             build_arrival_matrix(tau, P, spec), _arrival_matrix_reference(ref, P, spec)
         )
         assert np.array_equal(
-            build_initial_flow(tau.source_rates, X, tau, P, spec),
+            build_initial_flow(X, tau, P, spec),
             _initial_flow_reference(X, ref, P, spec),
         )
         got = _injections(tau, X, P, spec)

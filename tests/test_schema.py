@@ -20,8 +20,14 @@ def _forwarding(**fields):
     return lambda: ForwardingMatrix.from_json(json.dumps({"entries": [entry]}), 3, 2)
 
 
-def _channel(link):
-    return lambda: ChannelMatrix.from_json(json.dumps({"links": [link]}), 3, 2)
+def _repeated_forwarding():
+    first = {"i": 1, "j": 2, "u": 1, "v": 2, "x": 0.9}
+    entries = [first, {**first, "u": 2}, {**first, "x": 0.6}]
+    return lambda: ForwardingMatrix.from_json(json.dumps({"entries": entries}), 3, 2)
+
+
+def _channel(*links):
+    return lambda: ChannelMatrix.from_json(json.dumps({"links": list(links)}), 3, 2)
 
 
 def _topology(section, key, value):
@@ -67,6 +73,8 @@ def _topology(section, key, value):
         _topology("radio", "packet_bits", 10**400),
         _rates([[0.0, 0.4], [0.1]], [[1.0, 0.0]]),
         lambda: load_network("[" * 100_000),
+        _repeated_forwarding(),
+        _channel({"i": 1, "j": 2, "u": 1, "p": 0.9}, {"i": 1, "j": 2, "u": 1, "p": 0.6}),
     ],
     ids=[
         "tau-nan", "sources-nan", "x-nan", "p-nan", "p-missing",
@@ -76,7 +84,8 @@ def _topology(section, key, value):
         "sources-object", "x-index-bool", "link-index-bool", "x-index-float",
         "x-text", "x-text-not-a-number", "p-text", "tau-numeric-text", "tau-bool",
         "tau-huge-int", "sources-numeric-text", "entries-not-list", "links-missing",
-        "packet-bits-huge-int", "tau-ragged", "nesting-too-deep",
+        "packet-bits-huge-int", "tau-ragged", "nesting-too-deep", "x-repeated",
+        "link-repeated",
     ],
 )
 def test_loaders_reject_nan_and_missing_values(load):

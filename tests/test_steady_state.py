@@ -32,7 +32,6 @@ from pareto_relay.steady_state import (
     build_relaying_matrix,
     criteria,
     delay_identity_gap,
-    relay_transmission_index,
 )
 
 from conftest import injected_channel, line_spec, make_spec, rate_matrix
@@ -90,7 +89,8 @@ def two_relay_chain_setup():
 
 def test_relay_transmission_index_excludes_sources(three_node):
     tau = rate_matrix(three_node, [[0.3, 0.4]], [[1.0, 0.0]])
-    assert relay_transmission_index(tau) == ((2, 1), (2, 2))
+    j, v = tau.relay_coords
+    assert list(zip((j + 1).tolist(), (v + 1).tolist())) == [(2, 1), (2, 2)]
 
 
 def test_relaying_matrix_hand_computed():
@@ -113,6 +113,17 @@ def test_relaying_matrix_same_node_entries_are_zero():
     Q = build_relaying_matrix(X, tau, P)
     # both transmissions belong to relay 2, which cannot feed itself
     assert np.array_equal(Q, np.zeros((2, 2)))
+
+
+def test_relaying_matrix_names_an_entry_of_one_by_its_transmissions():
+    # 1 - 1e-20 rounds to 1, so p = x = 1 gives a relaying probability of 1.
+    spec, _, _, _ = two_relay_chain_setup()
+    tau = rate_matrix(spec, [[0.5, 0.0, 0.0], [0.0, 0.0, 1e-20]], [[1.0, 0.0, 0.0]])
+    P = injected_channel(4, 3, {(2, 3, 1): 1.0})
+    with pytest.raises(
+        ModelViolationError, match=r"^relaying probability from \(2, 1\) to \(3, 3\) reaches 1;"
+    ):
+        build_relaying_matrix(ForwardingMatrix(np.ones((4, 4, 3, 3))), tau, P)
 
 
 def test_relaying_matrix_entries_strictly_below_one():
@@ -142,18 +153,12 @@ def test_arrival_matrix_empty_when_no_relays_active(three_node):
 
 def test_initial_flow_structure():
     spec, tau, P, X = single_relay_setup()
-    F1 = build_initial_flow(tau.source_rates, X, tau, P, spec)
+    F1 = build_initial_flow(X, tau, P, spec)
     assert F1.shape == (1, 3)  # one relay transmission + two arrival slots
     x = X.x(1, 2, 1, 2)
     assert F1[0, 0] == pytest.approx(1.0 * 0.8 * (1.0 - 0.4) * x)
     assert F1[0, 1] == pytest.approx(1.0 * 0.2)  # direct hit in slot 1
     assert F1[0, 2] == 0.0
-
-
-def test_initial_flow_rejects_bad_shape():
-    spec, tau, P, X = single_relay_setup()
-    with pytest.raises(SchemaError):
-        build_initial_flow(np.ones((2, 2)), X, tau, P, spec)
 
 
 def test_fundamental_matrix_trivial_cases():
@@ -229,7 +234,8 @@ def test_delay_identity_holds_for_substochastic_matrices(Q):
 def test_transition_system_shapes():
     spec, tau, P, X = two_relay_chain_setup()
     Q, D, F1 = build_transition_system(tau, X, P, spec)
-    assert relay_transmission_index(tau) == ((2, 2), (3, 3))
+    j, v = tau.relay_coords
+    assert list(zip((j + 1).tolist(), (v + 1).tolist())) == [(2, 2), (3, 3)]
     assert Q.shape == (2, 2)
     # rows (2, 2) and (3, 3); columns (4, 1), (4, 2) and (4, 3)
     assert np.array_equal(D, [[0.0, 0.3, 0.0], [0.0, 0.0, 0.9]])
