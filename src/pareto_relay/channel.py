@@ -17,8 +17,8 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import EnumerationCapError, SchemaError
-from .rates import RateMatrix, active_set
-from .topology import NetworkSpec, gain_matrix, read_object, sparse_entries
+from .rates import RateMatrix
+from .topology import NetworkSpec, gain_matrix, read_object, sparse_entries, zero_based
 
 # A pool of at most EXACT_CAP interferers is averaged exactly over its 2^m
 # subsets; each link of a larger pool takes SAMPLES draws, from a per-link
@@ -53,8 +53,10 @@ def interference_candidates(
     reception outright (handled by the listening factor in the forwarding
     model), and a node has no propagation distance to itself.
     """
-    act = active_set(tau)
-    return tuple(k for k in act.in_slot(slot) if k not in (sender, receiver))
+    n = len(tau.rates)
+    *ends, u = zero_based((n, n, tau.slot_count), sender=sender, receiver=receiver, slot=slot)
+    active = np.flatnonzero(tau.rates[:, u] > 0.0).tolist()
+    return tuple(k + 1 for k in active if k not in ends)
 
 
 # The rows of one pool size m are taken in blocks, so that no 2-D array
@@ -193,7 +195,8 @@ class ChannelMatrix:
     def p(self, sender: int, receiver: int, slot: int) -> float:
         if sender == receiver:
             raise ValueError(f"channel probability is undefined on ({sender},{sender})")
-        return float(self.probs[sender - 1, receiver - 1, slot - 1])
+        at = zero_based(self.probs.shape, sender=sender, receiver=receiver, slot=slot)
+        return float(self.probs[at])
 
     def to_json_dict(self) -> dict:
         links = []

@@ -30,7 +30,7 @@ from .errors import (
     SchemaError,
 )
 from .rates import DEFAULT_TOLERANCE, RateMatrix
-from .topology import NetworkSpec, read_object, sparse_entries
+from .topology import NetworkSpec, read_object, sparse_entries, zero_based
 
 MAX_REJECTION_ATTEMPTS = 200
 
@@ -62,7 +62,9 @@ class ForwardingMatrix:
         return cls(np.zeros((n_nodes, n_nodes, slot_count, slot_count)))
 
     def x(self, sender: int, forwarder: int, in_slot: int, out_slot: int) -> float:
-        return float(self.values[sender - 1, forwarder - 1, in_slot - 1, out_slot - 1])
+        at = zero_based(self.values.shape, sender=sender, forwarder=forwarder,
+                        in_slot=in_slot, out_slot=out_slot)
+        return float(self.values[at])
 
     def to_json_dict(self) -> dict:
         entries = []
@@ -125,9 +127,8 @@ class ConsistencyReport:
 
 def check_forwarder_roles(X: ForwardingMatrix, tau: RateMatrix) -> None:
     """Nonzero forwarding by a source or destination breaks the model."""
-    relay_cols = np.array([r - 1 for r in tau.relay_ids], dtype=int)
     mask = np.ones(X.n_nodes, dtype=bool)
-    mask[relay_cols] = False
+    mask[tau.relay_rows] = False
     if np.any(X.values[:, mask, :, :] > 0.0):
         raise ModelViolationError(
             "forwarding entries must be zero when the forwarder is a source "
@@ -170,7 +171,8 @@ def feeder_terms(
     x entry. Zero-coefficient terms are dropped since their x is irrelevant.
     """
     i, u = tau.active_coords
-    column = coupling(tau, P, i, u, forwarder - 1, out_slot - 1).tolist()
+    j, v = zero_based(P.probs.shape[1:], forwarder=forwarder, out_slot=out_slot)
+    column = coupling(tau, P, i, u, j, v).tolist()
     return [
         (a + 1, b + 1, c) for a, b, c in zip(i.tolist(), u.tolist(), column) if c > 0.0
     ]

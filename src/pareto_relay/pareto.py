@@ -11,7 +11,6 @@ the archive and its invariant check all share.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,66 +40,51 @@ from .topology import NetworkSpec
 from .rates import check_flow_conservation, check_half_duplex
 
 
-class Sense(enum.Enum):
-    MAXIMIZE = "max"
-    MINIMIZE = "min"
-
-
-_OBJECTIVE_TOKENS = {
-    "f": ("f", Sense.MAXIMIZE),
-    "fc": ("f_c", Sense.MAXIMIZE),
-    "fd": ("f_d", Sense.MINIMIZE),
-    "fe": ("f_e", Sense.MINIMIZE),
-}
-_CRITERIA = tuple(name for name, _ in _OBJECTIVE_TOKENS.values())
+# The sign that makes smaller better on each criterion, fixed by the model:
+# delivered flow f and capacity f_C are maximized, delay f_D and energy f_E
+# minimized.
+_ORIENTATION = {"f": -1.0, "f_c": -1.0, "f_d": 1.0, "f_e": 1.0}
 
 
 @dataclass(frozen=True)
 class ObjectiveSense:
-    """Which criteria the search optimizes, and in which direction.
+    """Which criteria the search optimizes; each one's direction is fixed
+    by ``_ORIENTATION``.
 
-    The default compares the capped capacity reading f_C (maximized)
-    against delay and energy (minimized). Substituting raw f switches to
-    the robustness reading; both appear in the criteria vector either way.
+    The default compares the capped capacity reading f_C against delay and
+    energy. Substituting raw f switches to the robustness reading; both
+    appear in the criteria vector either way.
     """
 
     names: tuple[str, ...]
-    senses: tuple[Sense, ...]
 
     def __post_init__(self):
-        if len(self.names) != len(self.senses) or not self.names:
-            raise SchemaError("objective names and senses must align")
+        if not self.names:
+            raise SchemaError("at least one objective is required")
         if len(set(self.names)) != len(self.names):
             raise SchemaError("duplicate objective")
         for name in self.names:
-            if name not in _CRITERIA:
+            if name not in _ORIENTATION:
                 raise SchemaError(
-                    f"unknown objective {name!r}; choose from {', '.join(_CRITERIA)}"
+                    f"unknown objective {name!r}; choose from {', '.join(_ORIENTATION)}"
                 )
-        for sense in self.senses:
-            if not isinstance(sense, Sense):
-                raise SchemaError(f"objective sense {sense!r} is not a Sense")
 
     @classmethod
     def default(cls) -> "ObjectiveSense":
-        return cls(
-            names=("f_c", "f_d", "f_e"),
-            senses=(Sense.MAXIMIZE, Sense.MINIMIZE, Sense.MINIMIZE),
-        )
+        return cls(("f_c", "f_d", "f_e"))
 
     @classmethod
     def parse(cls, text: str) -> "ObjectiveSense":
-        names, senses = [], []
+        tokens = {name.replace("_", ""): name for name in _ORIENTATION}
+        names = []
         for token in text.split(","):
             token = token.strip().lower().replace("_", "")
-            if token not in _OBJECTIVE_TOKENS:
+            if token not in tokens:
                 raise SchemaError(
-                    f"unknown objective {token!r}; choose from f, fc, fd, fe"
+                    f"unknown objective {token!r}; choose from {', '.join(tokens)}"
                 )
-            name, sense = _OBJECTIVE_TOKENS[token]
-            names.append(name)
-            senses.append(sense)
-        return cls(names=tuple(names), senses=tuple(senses))
+            names.append(tokens[token])
+        return cls(tuple(names))
 
     def values(self, criteria: CriteriaVector) -> tuple[float, ...]:
         return tuple(getattr(criteria, name) for name in self.names)
@@ -108,8 +92,7 @@ class ObjectiveSense:
     def oriented(self, criteria: CriteriaVector) -> np.ndarray:
         """The objective values with each maximized one negated, so that
         smaller is better on every objective."""
-        signs = [-1.0 if sense is Sense.MAXIMIZE else 1.0 for sense in self.senses]
-        return np.multiply(self.values(criteria), signs)
+        return np.multiply(self.values(criteria), [_ORIENTATION[n] for n in self.names])
 
 
 def _dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -214,9 +197,8 @@ def tau_flow_rate(tau: RateMatrix, P: ChannelMatrix) -> float:
     exactly tau_j^v, so deliveries reduce to direct source arrivals plus
     tau-weighted relay arrivals regardless of how X splits the feeders.
     """
-    transmitters = set(tau.transmitter_ids)
-    reach = sum(P.probs[:, d] for d in range(P.n_nodes) if d + 1 not in transmitters)
-    senders = np.array(tau.source_ids + tau.relay_ids) - 1
+    senders = tau.source_rows.tolist() + tau.relay_rows.tolist()
+    reach = sum(P.probs[:, d] for d in range(P.n_nodes) if d not in senders)
     # Sources first, then relays, each row slot by slot: a cumulative sum
     # adds in exactly that order, and idle slots add +0.0.
     return float(np.cumsum((tau.rates * reach)[senders])[-1])

@@ -17,8 +17,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import FlowConservationError, GridError, HalfDuplexError, SchemaError
-from .topology import NetworkSpec, read_object, require_rows
+from .errors import FlowConservationError, GridError, HalfDuplexError, InfeasibleError, SchemaError
+from .topology import NetworkSpec, read_object, require_rows, zero_based
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -61,7 +61,8 @@ class RateMatrix:
     ``rates`` is one read-only ``(n_nodes, slot_count)`` array: row ``i - 1``
     is node ``i`` and column ``u - 1`` is slot ``u``; destination rows are 0.
     ``relay_rates`` and ``source_rates`` are its relay and source rows, in
-    ``relay_ids`` and ``source_ids`` order. ``rate`` and ``row`` take 1-based
+    ``relay_ids`` and ``source_ids`` order, whose 0-based rows are
+    ``relay_rows`` and ``source_rows``. ``rate`` and ``row`` take 1-based
     node ids and slots, matching the documents. ``active_coords`` holds the
     0-based (rows, columns) of every positive rate, sorted by node then
     slot; ``relay_coords`` holds those of the relays. The model indexes
@@ -73,12 +74,12 @@ class RateMatrix:
         self.relay_ids = spec.relay_ids
         self.source_ids = spec.source_ids
         self.slot_count = spec.slot_count
-        self._relay_rows = np.array(self.relay_ids, dtype=int) - 1
-        self._source_rows = np.array(self.source_ids, dtype=int) - 1
+        self.relay_rows = np.array(self.relay_ids, dtype=int) - 1
+        self.source_rows = np.array(self.source_ids, dtype=int) - 1
         blocks = []
         for name, rows, given in (
-            ("relay", self._relay_rows, relay_rates),
-            ("source", self._source_rows, source_rates),
+            ("relay", self.relay_rows, relay_rates),
+            ("source", self.source_rows, source_rates),
         ):
             given = np.asarray(given, dtype=float)
             # An empty row list carries no slot count: a network without
@@ -103,7 +104,7 @@ class RateMatrix:
     @cached_property
     def relay_coords(self) -> tuple[np.ndarray, np.ndarray]:
         positive = self.rates > 0.0
-        positive[self._source_rows] = False  # destination rows are 0 already
+        positive[self.source_rows] = False  # destination rows are 0 already
         return np.nonzero(positive)
 
     @cached_property
@@ -121,18 +122,18 @@ class RateMatrix:
 
     @property
     def relay_rates(self) -> np.ndarray:
-        return self.rates[self._relay_rows]
+        return self.rates[self.relay_rows]
 
     @property
     def source_rates(self) -> np.ndarray:
-        return self.rates[self._source_rows]
+        return self.rates[self.source_rows]
 
     def rate(self, node_id: int, slot: int) -> float:
         """Rate of node ``node_id`` in 1-based ``slot``; 0 for destinations."""
-        return float(self.rates[node_id - 1, slot - 1])
+        return float(self.rates[zero_based(self.rates.shape, node=node_id, slot=slot)])
 
     def row(self, node_id: int) -> np.ndarray:
-        return self.rates[node_id - 1]
+        return self.rates[zero_based(self.rates.shape, node=node_id)]
 
     @property
     def transmitter_ids(self) -> tuple[int, ...]:
@@ -198,76 +199,62 @@ def incoming_rates(tau: RateMatrix, channel) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FlowConservationReport:
-    """Per-relay verdicts: outgoing rate may not exceed incoming rate."""
+class GateReport:
+    """Verdicts of one rate gate: ``entries`` maps each checked relay, or
+    (relay, slot) pair, to its figures with the verdict last. A failed gate
+    raises ``error`` with ``message`` formatted on the sorted failing keys."""
 
-    entries: dict[int, tuple[float, float, bool]]  # node -> (out, in, ok)
+    entries: dict
+    error: type[InfeasibleError]
+    message: str
 
     @property
     def all_ok(self) -> bool:
-        return all(ok for (_, _, ok) in self.entries.values())
+        return all(entry[-1] for entry in self.entries.values())
 
-    def failures(self) -> list[int]:
-        return sorted(i for i, (_, _, ok) in self.entries.items() if not ok)
+    def failures(self) -> list:
+        return sorted(k for k, entry in self.entries.items() if not entry[-1])
 
     def raise_if_failed(self) -> None:
         if not self.all_ok:
-            raise FlowConservationError(
-                f"flow conservation fails: relays {self.failures()} "
-                f"transmit more than they receive"
-            )
+            raise self.error(self.message.format(self.failures()))
 
 
 def check_flow_conservation(
     tau: RateMatrix, channel, tol: float = DEFAULT_TOLERANCE
-) -> FlowConservationReport:
+) -> GateReport:
     """Flow conservation per relay. Sources originate traffic and are exempt;
     destinations never transmit."""
     outflow = tau.relay_rates.sum(axis=1).tolist()
-    inflow = incoming_rates(tau, channel)[tau._relay_rows].sum(axis=1).tolist()
-    entries = {
+    inflow = incoming_rates(tau, channel)[tau.relay_rows].sum(axis=1).tolist()
+    entries = {  # relay -> (out, in, ok)
         j: (out, inn, out <= inn + tol)
         for j, out, inn in zip(tau.relay_ids, outflow, inflow)
     }
-    return FlowConservationReport(entries=entries)
-
-
-@dataclass(frozen=True)
-class HalfDuplexReport:
-    """Per (relay, slot) verdicts for the half-duplex constraint."""
-
-    entries: dict[tuple[int, int], tuple[float, bool]]  # (node, slot) -> (lhs, ok)
-
-    @property
-    def all_ok(self) -> bool:
-        return all(ok for (_, ok) in self.entries.values())
-
-    def failures(self) -> list[tuple[int, int]]:
-        return sorted(k for k, (_, ok) in self.entries.items() if not ok)
-
-    def raise_if_failed(self) -> None:
-        if not self.all_ok:
-            raise HalfDuplexError(
-                f"half-duplex constraint fails at (node, slot) {self.failures()}"
-            )
+    return GateReport(
+        entries, FlowConservationError,
+        "flow conservation fails: relays {} transmit more than they receive",
+    )
 
 
 def check_half_duplex(
     tau: RateMatrix, channel, tol: float = DEFAULT_TOLERANCE
-) -> HalfDuplexReport:
+) -> GateReport:
     """Half duplex per relay and slot: r_j^u * (1 - tau_j^u) + tau_j^u <= 1.
 
     With several feeders in one slot the incoming rate can exceed 1 and the
     constraint genuinely fails; failures are reported, never assumed away.
     """
     rows = tau.relay_rates
-    lhs = incoming_rates(tau, channel)[tau._relay_rows] * (1.0 - rows) + rows
-    entries = {
+    lhs = incoming_rates(tau, channel)[tau.relay_rows] * (1.0 - rows) + rows
+    entries = {  # (relay, slot) -> (lhs, ok)
         (j, u + 1): (x, x <= 1.0 + tol)
         for j, row in zip(tau.relay_ids, lhs.tolist())
         for u, x in enumerate(row)
     }
-    return HalfDuplexReport(entries=entries)
+    return GateReport(
+        entries, HalfDuplexError, "half-duplex constraint fails at (node, slot) {}"
+    )
 
 
 def _shaped(name: str, given, n_rows: int, slot_count: int) -> np.ndarray:

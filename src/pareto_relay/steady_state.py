@@ -214,15 +214,16 @@ def _cut_set_guard(
         or len(spec.destination_ids) != 1
     ):
         return
-    S, R, D_id = spec.source_ids[0], spec.relay_ids[0], spec.destination_ids[0]
-    src_slots = [u + 1 for u, t in enumerate(tau.row(S)) if t > 0.0]
-    rel_slots = [v + 1 for v, t in enumerate(tau.row(R)) if t > 0.0]
+    (s,), (r,) = tau.source_rows.tolist(), tau.relay_rows.tolist()
+    d = 3 - s - r  # the nodes are rows 0, 1 and 2
+    src_slots = np.flatnonzero(tau.rates[s] > 0.0).tolist()
+    rel_slots = np.flatnonzero(tau.rates[r] > 0.0).tolist()
     if len(src_slots) != 1 or len(rel_slots) > 1 or rel_slots == src_slots:
         return
     u0 = src_slots[0]
-    p_sd = P.p(S, D_id, u0)
-    p_sr = P.p(S, R, u0)
-    p_rd = P.p(R, D_id, rel_slots[0]) if rel_slots else 0.0
+    p_sd = P.probs[s, d, u0]
+    p_sr = P.probs[s, r, u0]
+    p_rd = P.probs[r, d, rel_slots[0]] if rel_slots else 0.0
     if p_sd + p_rd > 1.0 + tol:
         return
     bound = 1.0 - (1.0 - p_sd) * (1.0 - p_sr)

@@ -128,7 +128,8 @@ class NetworkSpec:
         return self.frame.slot_count
 
     def node(self, node_id: int) -> NodeSpec:
-        return self.nodes[node_id - 1] if self.nodes[node_id - 1].id == node_id else (
+        (k,) = zero_based((self.n_nodes,), node=node_id)
+        return self.nodes[k] if self.nodes[k].id == node_id else (
             next(n for n in self.nodes if n.id == node_id)
         )
 
@@ -161,6 +162,18 @@ class NetworkSpec:
     @cached_property
     def destination_ids(self) -> tuple[int, ...]:
         return self.ids_with_role(Role.DESTINATION)
+
+
+def zero_based(shape, **ids: int) -> tuple[int, ...]:
+    """The 0-based indices of the 1-based node ids and slots ``ids``, one
+    per axis of ``shape`` in order. Raises unless each lies in 1..its axis
+    length, where ``id - 1`` would index silently: 0 wraps to the last entry."""
+    out = []
+    for (what, value), count in zip(ids.items(), shape):
+        if not 1 <= value <= count:
+            raise ValueError(f"{what} {value} is out of range 1..{count}")
+        out.append(value - 1)
+    return tuple(out)
 
 
 def read_object(document, name: str) -> dict:

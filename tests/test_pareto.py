@@ -14,7 +14,6 @@ from pareto_relay import (
     ParetoSolution,
     PruneThresholds,
     RateGrid,
-    Sense,
     channel_matrix,
     count_rate_matrices,
     dominates,
@@ -58,14 +57,14 @@ def solution(sid, criteria, spec, tau=None):
 def test_default_objectives():
     senses = ObjectiveSense.default()
     assert senses.names == ("f_c", "f_d", "f_e")
-    assert senses.senses == (Sense.MAXIMIZE, Sense.MINIMIZE, Sense.MINIMIZE)
     assert senses.values(crit(0.9, 0.5, 0.3)) == (0.9, 0.5, 0.3)
+    assert senses.oriented(crit(0.9, 0.5, 0.3)).tolist() == [-0.9, 0.5, 0.3]
 
 
 def test_objective_parsing():
     assert ObjectiveSense.parse("fc,fd,fe") == ObjectiveSense.default()
     single = ObjectiveSense.parse("f")
-    assert single.names == ("f",) and single.senses == (Sense.MAXIMIZE,)
+    assert single.names == ("f",)
     relaxed = ObjectiveSense.parse(" F_C , fD ")
     assert relaxed.names == ("f_c", "f_d")
     with pytest.raises(SchemaError):
@@ -78,14 +77,16 @@ def test_objective_parsing():
 
 def test_objective_sense_rejects_unknown_name():
     with pytest.raises(SchemaError, match="unknown objective 'f_x'"):
-        ObjectiveSense(("f_c", "f_x"), (Sense.MAXIMIZE, Sense.MINIMIZE))
+        ObjectiveSense(("f_c", "f_x"))
 
 
-def test_objective_sense_rejects_sense_that_is_not_a_member():
-    # "max" is Sense.MAXIMIZE's value, not the member; taking it would
-    # silently minimize f_c.
-    with pytest.raises(SchemaError, match="not a Sense"):
-        ObjectiveSense(("f_c",), ("max",))
+@pytest.mark.parametrize(
+    "names, message",
+    [((), "at least one objective"), (("f_d", "f_e", "f_d"), "duplicate objective")],
+)
+def test_objective_sense_rejects_empty_and_duplicate_names(names, message):
+    with pytest.raises(SchemaError, match=message):
+        ObjectiveSense(names)
 
 
 def test_dominates_examples():
@@ -104,9 +105,10 @@ def test_dominates_examples():
 
 
 def test_dominates_respects_sense_direction():
-    up = ObjectiveSense(names=("f",), senses=(Sense.MAXIMIZE,))
-    down = ObjectiveSense(names=("f",), senses=(Sense.MINIMIZE,))
-    hi, lo = crit(0, 0, 0, f=2.0), crit(0, 0, 0, f=1.0)
+    # hi is above lo on both f and f_d: it wins on f, which is maximized,
+    # and loses on f_d, which is minimized.
+    up, down = ObjectiveSense(("f",)), ObjectiveSense(("f_d",))
+    hi, lo = crit(0, 2.0, 0, f=2.0), crit(0, 1.0, 0, f=1.0)
     assert dominates(hi, lo, up) and not dominates(lo, hi, up)
     assert dominates(lo, hi, down) and not dominates(hi, lo, down)
 
@@ -127,11 +129,15 @@ def test_dominance_is_a_strict_partial_order(a, b, c):
             assert dominates(ca, cc, senses)  # transitive
 
 
+# Each criterion's direction, written out apart from the package's table.
+MAXIMIZED = {"f": True, "f_c": True, "f_d": False, "f_e": False}
+
+
 def dominates_reference(a, b, senses) -> bool:
-    """The scalar rule, one objective at a time with a branch per sense."""
+    """The scalar rule, one objective at a time with a branch per direction."""
     strict = False
-    for va, vb, sense in zip(senses.values(a), senses.values(b), senses.senses):
-        if sense is Sense.MAXIMIZE:
+    for va, vb, name in zip(senses.values(a), senses.values(b), senses.names):
+        if MAXIMIZED[name]:
             if va < vb:
                 return False
             strict = strict or va > vb
@@ -165,10 +171,8 @@ class ReferenceArchive:
 
 @st.composite
 def objective_senses(draw):
-    names = draw(st.permutations(["f", "f_c", "f_d", "f_e"]))
-    k = draw(st.integers(1, 4))
-    senses = draw(st.lists(st.sampled_from(Sense), min_size=k, max_size=k))
-    return ObjectiveSense(tuple(names[:k]), tuple(senses))
+    names = draw(st.permutations(list(MAXIMIZED)))
+    return ObjectiveSense(tuple(names[: draw(st.integers(1, 4))]))
 
 
 # Few values, so that ties and equal vectors are common; 0.0 and -0.0

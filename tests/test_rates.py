@@ -15,8 +15,9 @@ from pareto_relay import (
     default_source_rates,
     enumerate_rate_matrices,
 )
-from pareto_relay.errors import GridError, SchemaError
+from pareto_relay.errors import FlowConservationError, GridError, HalfDuplexError, SchemaError
 from pareto_relay.rates import incoming_rates
+from pareto_relay.steady_state import check_strategy
 
 from conftest import injected_channel, line_spec, make_spec, rate_matrix
 
@@ -178,6 +179,33 @@ def test_half_duplex_two_full_feeders_fail():
     assert lhs == pytest.approx(1.6)
     assert not ok
     assert report.failures() == [(3, 1)]
+
+
+def test_gate_errors_through_check_strategy(three_node):
+    # Each gate raises its own error class, with a message naming the
+    # failing relays or (relay, slot) pairs.
+    tau = rate_matrix(three_node, [[0.0, 0.8]], [[1.0, 0.0]])
+    P = injected_channel(3, 2, {(1, 2, 1): 0.6})
+    with pytest.raises(FlowConservationError) as flow:
+        check_strategy(tau, three_node, P)
+    assert type(flow.value) is FlowConservationError
+    assert str(flow.value) == (
+        "flow conservation fails: relays [2] transmit more than they receive"
+    )
+    spec = make_spec(
+        [
+            (1, "source", 0, 0),
+            (2, "source", 0, 1),
+            (3, "relay", 1, 0),
+            (4, "destination", 2, 0),
+        ]
+    )
+    tau = rate_matrix(spec, [[0.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]])
+    P = injected_channel(4, 2, {(1, 3, 1): 0.8, (2, 3, 1): 0.8})
+    with pytest.raises(HalfDuplexError) as duplex:
+        check_strategy(tau, spec, P)
+    assert type(duplex.value) is HalfDuplexError
+    assert str(duplex.value) == "half-duplex constraint fails at (node, slot) [(3, 1)]"
 
 
 def test_default_source_rates(three_node):

@@ -4,11 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from pareto_relay import NetworkSpec, load_network, serialize_network
+from pareto_relay import (
+    NetworkSpec,
+    channel_matrix,
+    channel_probability_exact,
+    channel_probability_sampled,
+    interference_candidates,
+    load_network,
+    serialize_network,
+    solve_chain_closed_form,
+)
 from pareto_relay.errors import SchemaError, TopologyError
+from pareto_relay.forwarding import feeder_terms
 from pareto_relay.topology import distance, gain_matrix, pathloss_gain
 
-from conftest import DEFAULT_RADIO, make_spec
+from conftest import DEFAULT_RADIO, line_spec, make_spec, rate_matrix
 
 
 def _doc(nodes, slots=2, radio=None):
@@ -209,3 +219,53 @@ def test_network_without_relays_loads():
     spec = make_spec([(1, "source", 0, 0), (2, "destination", 1, 0)])
     assert spec.relay_ids == ()
     assert math.isclose(gain_matrix(spec)[0, 1], 1.0)
+
+
+# Each accessor that takes 1-based node ids or slots, with one argument
+# left free: (label, what the free argument is, call(spec, tau, P, X, k)).
+ONE_BASED_ACCESSORS = [
+    ("rate-node", "node", lambda s, t, P, X, k: t.rate(k, 1)),
+    ("rate-slot", "slot", lambda s, t, P, X, k: t.rate(1, k)),
+    ("row", "node", lambda s, t, P, X, k: t.row(k)),
+    ("p-sender", "sender", lambda s, t, P, X, k: P.p(k, 2, 1)),
+    ("p-receiver", "receiver", lambda s, t, P, X, k: P.p(1, k, 1)),
+    ("p-slot", "slot", lambda s, t, P, X, k: P.p(1, 2, k)),
+    ("x-sender", "sender", lambda s, t, P, X, k: X.x(k, 2, 1, 2)),
+    ("x-forwarder", "forwarder", lambda s, t, P, X, k: X.x(1, k, 1, 2)),
+    ("x-in-slot", "in_slot", lambda s, t, P, X, k: X.x(1, 2, k, 2)),
+    ("x-out-slot", "out_slot", lambda s, t, P, X, k: X.x(1, 2, 1, k)),
+    ("node", "node", lambda s, t, P, X, k: s.node(k)),
+    ("feeder-forwarder", "forwarder", lambda s, t, P, X, k: feeder_terms(t, P, k, 2)),
+    ("feeder-out-slot", "out_slot", lambda s, t, P, X, k: feeder_terms(t, P, 2, k)),
+    ("candidates-sender", "sender", lambda s, t, P, X, k: interference_candidates(t, k, 3, 1)),
+    ("candidates-receiver", "receiver",
+     lambda s, t, P, X, k: interference_candidates(t, 1, k, 1)),
+    ("candidates-slot", "slot", lambda s, t, P, X, k: interference_candidates(t, 1, 3, k)),
+    ("exact-sender", "sender", lambda s, t, P, X, k: channel_probability_exact(s, t, k, 3, 1)),
+    ("exact-receiver", "receiver",
+     lambda s, t, P, X, k: channel_probability_exact(s, t, 1, k, 1)),
+    ("exact-slot", "slot", lambda s, t, P, X, k: channel_probability_exact(s, t, 1, 3, k)),
+    ("sampled-sender", "sender",
+     lambda s, t, P, X, k: channel_probability_sampled(s, t, k, 3, 1, 10, 0)),
+    ("sampled-receiver", "receiver",
+     lambda s, t, P, X, k: channel_probability_sampled(s, t, 1, k, 1, 10, 0)),
+    ("sampled-slot", "slot",
+     lambda s, t, P, X, k: channel_probability_sampled(s, t, 1, 3, k, 10, 0)),
+]
+
+
+@pytest.mark.parametrize("past_end", [False, True], ids=["zero", "past-end"])
+@pytest.mark.parametrize(
+    "what, call", [pytest.param(w, c, id=label) for label, w, c in ONE_BASED_ACCESSORS]
+)
+def test_one_based_accessors_reject_ids_out_of_range(what, call, past_end):
+    # Without the check, 0 would wrap to the last node or slot, and an id
+    # past the end would raise a bare IndexError or find nothing.
+    spec = line_spec(slots=2)
+    tau = rate_matrix(spec, [[0.0, 0.25]], [[1.0, 0.0]])
+    P = channel_matrix(tau, spec)
+    X = solve_chain_closed_form(tau, P, spec)
+    count = spec.slot_count if "slot" in what else spec.n_nodes
+    k = count + 1 if past_end else 0
+    with pytest.raises(ValueError, match=rf"^{what} {k} is out of range 1\.\.{count}$"):
+        call(spec, tau, P, X, k)
