@@ -3,8 +3,10 @@
 The probability p_ij^u that a packet sent by i in slot u is received at j
 is the average of the packet success rate over every subset of the other
 transmitters active in that slot, weighted by the probability that exactly
-that subset transmits concurrently. Interference is additive noise; the
-packet success rate comes from an uncoded BPSK/AWGN bit error rate.
+that subset transmits concurrently. The interferers of link (i, j) are every
+transmitter active in slot u except i and j, by ascending id. Interference
+is additive noise; the packet success rate comes from an uncoded BPSK/AWGN
+bit error rate.
 ``channel_matrix`` takes the links of every uncached slot together and
 averages all links with m interferers in one subset lattice, one row per
 link; each block of rows ends in one stacked row-by-column ``np.matmul``,
@@ -43,20 +45,17 @@ def packet_success(gamma, packet_bits: int):
     return float(out) if np.isscalar(gamma) else out
 
 
-def interference_candidates(
-    tau: RateMatrix, sender: int, receiver: int, slot: int
-) -> tuple[int, ...]:
-    """Nodes that can interfere on link (sender, receiver) in ``slot``:
-    every transmitter active in the slot except the two link endpoints.
-
-    The receiver is excluded because its own transmit activity blocks
-    reception outright (handled by the listening factor in the forwarding
-    model), and a node has no propagation distance to itself.
-    """
+def _link(spec: NetworkSpec, tau: RateMatrix, sender: int, receiver: int, slot: int):
+    """Signal power, interferer powers and interferer rates of the link from
+    1-based ``sender`` to ``receiver`` in ``slot``. The interferers are every
+    transmitter active in the slot except the two endpoints, by ascending id:
+    the receiver's own sending is the forwarding model's listening factor,
+    and a node has no propagation distance to itself."""
     n = len(tau.rates)
-    *ends, u = zero_based((n, n, tau.slot_count), sender=sender, receiver=receiver, slot=slot)
-    active = np.flatnonzero(tau.rates[:, u] > 0.0).tolist()
-    return tuple(k + 1 for k in active if k not in ends)
+    i, j, u = zero_based((n, n, tau.slot_count), sender=sender, receiver=receiver, slot=slot)
+    pool = [k for k in np.flatnonzero(tau.rates[:, u] > 0.0).tolist() if k not in (i, j)]
+    power = spec.radio.tx_power * gain_matrix(spec)[:, j]
+    return power[i], power[pool], tau.rates[pool, u]
 
 
 # The rows of one pool size m are taken in blocks, so that no 2-D array
@@ -108,22 +107,20 @@ def channel_probability_exact(
     receiver: int,
     slot: int,
 ) -> float:
-    """p_ij^u by exact enumeration of every interfering set.
+    """p_ij^u of the link from 1-based ``sender`` to ``receiver`` in
+    ``slot``, by exact enumeration of every subset of its interferers: the
+    transmitters active in the slot other than the two endpoints.
 
-    Raises :class:`EnumerationCapError` when the candidate pool exceeds
-    ``EXACT_CAP``; use :func:`channel_probability_sampled` then.
+    Raises :class:`EnumerationCapError` when there are more than
+    ``EXACT_CAP`` interferers; use :func:`channel_probability_sampled` then.
     """
-    pool = interference_candidates(tau, sender, receiver, slot)
-    if len(pool) > EXACT_CAP:
+    signal, gains, rates = _link(spec, tau, sender, receiver, slot)
+    if len(rates) > EXACT_CAP:
         raise EnumerationCapError(
-            f"{len(pool)} candidate interferers on link ({sender},{receiver})"
+            f"{len(rates)} candidate interferers on link ({sender},{receiver})"
             f" slot {slot} exceed the exact-enumeration cap {EXACT_CAP}"
         )
-    pool = [k - 1 for k in pool]
-    power = spec.radio.tx_power * gain_matrix(spec)[:, receiver - 1]
-    return _pool_average(
-        spec.radio, power[[sender - 1]], power[None, pool], tau.rates[None, pool, slot - 1]
-    )[0].item()
+    return _pool_average(spec.radio, np.array([signal]), gains[None], rates[None])[0].item()
 
 
 def channel_probability_sampled(
@@ -143,9 +140,7 @@ def channel_probability_sampled(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    pool = [k - 1 for k in interference_candidates(tau, sender, receiver, slot)]
-    power = spec.radio.tx_power * gain_matrix(spec)[:, receiver - 1]
-    signal, int_gains, int_taus = power[sender - 1], power[pool], tau.rates[pool, slot - 1]
+    signal, int_gains, int_taus = _link(spec, tau, sender, receiver, slot)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
     total = 0.0
@@ -191,12 +186,6 @@ class ChannelMatrix:
         self.slot_count = slot_count
         self.probs = probs
         self.probs.setflags(write=False)
-
-    def p(self, sender: int, receiver: int, slot: int) -> float:
-        if sender == receiver:
-            raise ValueError(f"channel probability is undefined on ({sender},{sender})")
-        at = zero_based(self.probs.shape, sender=sender, receiver=receiver, slot=slot)
-        return float(self.probs[at])
 
     def to_json_dict(self) -> dict:
         links = []

@@ -107,15 +107,6 @@ class RateMatrix:
         positive[self.source_rows] = False  # destination rows are 0 already
         return np.nonzero(positive)
 
-    @cached_property
-    def _active(self) -> "ActiveSet":
-        rows, slots = self.active_coords
-        pairs = tuple(zip((rows + 1).tolist(), (slots + 1).tolist()))
-        by_slot = {
-            u: tuple(i for i, w in pairs if w == u) for u in range(1, self.slot_count + 1)
-        }
-        return ActiveSet(transmissions=frozenset(pairs), by_slot=by_slot)
-
     @classmethod
     def for_network(cls, spec: NetworkSpec, relay_rates, source_rates) -> "RateMatrix":
         return cls(spec, relay_rates, source_rates)
@@ -170,24 +161,15 @@ class RateMatrix:
 
 @dataclass(frozen=True)
 class ActiveSet:
-    """All (node, slot) pairs with a positive transmission rate."""
+    """All 1-based (node, slot) pairs with a positive transmission rate."""
 
     transmissions: frozenset[tuple[int, int]]
-    by_slot: dict[int, tuple[int, ...]]
-
-    def in_slot(self, slot: int) -> tuple[int, ...]:
-        return self.by_slot.get(slot, ())
-
-    def __len__(self) -> int:
-        return len(self.transmissions)
-
-    def __contains__(self, pair) -> bool:
-        return pair in self.transmissions
 
 
 def active_set(tau: RateMatrix) -> ActiveSet:
-    """The active set of ``tau``, computed once when the matrix is built."""
-    return tau._active
+    """The active set of ``tau``, read from ``tau.active_coords``."""
+    rows, slots = tau.active_coords
+    return ActiveSet(frozenset(zip((rows + 1).tolist(), (slots + 1).tolist())))
 
 
 def incoming_rates(tau: RateMatrix, channel) -> np.ndarray:

@@ -1,8 +1,11 @@
-"""Static network description: nodes, roles, geometry, radio constants, slot frame.
+"""Static network description: nodes, roles, geometry, radio constants and
+the number of slots in the repeated frame.
 
 The network is an implicitly complete graph: every ordered pair of nodes is
 a potential link. Sources and destinations never relay; that is enforced by
-role, not by convention.
+role, not by convention. Node ids and slots are 1-based, as in the
+documents; the arrays built on a spec index node ``i`` and slot ``u`` at
+``i - 1`` and ``u - 1``.
 """
 
 from __future__ import annotations
@@ -17,15 +20,11 @@ import numpy as np
 
 from .errors import SchemaError, TopologyError
 
-ROLE_SOURCE = "source"
-ROLE_RELAY = "relay"
-ROLE_DESTINATION = "destination"
-
 
 class Role(str, Enum):
-    SOURCE = ROLE_SOURCE
-    RELAY = ROLE_RELAY
-    DESTINATION = ROLE_DESTINATION
+    SOURCE = "source"
+    RELAY = "relay"
+    DESTINATION = "destination"
 
 
 @dataclass(frozen=True)
@@ -85,28 +84,24 @@ class RadioSpec:
             raise SchemaError("reference_distance_m must be > 0")
         if self.reference_gain <= 0:
             raise SchemaError("reference_gain must be > 0")
+        # Gains are clamped at reference_gain, so this product bounds every
+        # received power; past the float range a link's SINR would be inf/inf.
+        if not math.isfinite(float(self.tx_power) * self.reference_gain):
+            raise SchemaError("tx_power_w * reference_gain must be finite")
 
 
 @dataclass(frozen=True)
-class SlotFrame:
-    """The repeated frame of time slots; slots are numbered 1..slot_count."""
+class NetworkSpec:
+    """Validated network: node list, radio constants and the number of
+    slots in the repeated frame, numbered 1..slot_count."""
 
+    nodes: tuple[NodeSpec, ...]
+    radio: RadioSpec
     slot_count: int
 
     def __post_init__(self):
         if int(self.slot_count) != self.slot_count or self.slot_count < 1:
             raise SchemaError("frame.slots must be an integer >= 1")
-
-
-@dataclass(frozen=True)
-class NetworkSpec:
-    """Validated network: node list, radio constants and slot frame."""
-
-    nodes: tuple[NodeSpec, ...]
-    radio: RadioSpec
-    frame: SlotFrame
-
-    def __post_init__(self):
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})
@@ -122,10 +117,6 @@ class NetworkSpec:
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-    @property
-    def slot_count(self) -> int:
-        return self.frame.slot_count
 
     def node(self, node_id: int) -> NodeSpec:
         (k,) = zero_based((self.n_nodes,), node=node_id)
@@ -291,10 +282,10 @@ def load_network(document) -> NetworkSpec:
     )
 
     raw_frame = require(document, "frame", dict, "document")
-    frame = SlotFrame(slot_count=require(raw_frame, "slots", int, "frame"))
+    slot_count = require(raw_frame, "slots", int, "frame")
 
     nodes.sort(key=lambda n: n.id)
-    return NetworkSpec(nodes=tuple(nodes), radio=radio, frame=frame)
+    return NetworkSpec(nodes=tuple(nodes), radio=radio, slot_count=slot_count)
 
 
 def serialize_network(spec: NetworkSpec) -> dict:
@@ -312,12 +303,8 @@ def serialize_network(spec: NetworkSpec) -> dict:
             "reference_distance_m": spec.radio.reference_distance,
             "reference_gain": spec.radio.reference_gain,
         },
-        "frame": {"slots": spec.frame.slot_count},
+        "frame": {"slots": spec.slot_count},
     }
-
-
-def distance(i: NodeSpec, j: NodeSpec) -> float:
-    return math.dist(i.position, j.position)
 
 
 def pathloss_gain(i: NodeSpec, j: NodeSpec, radio: RadioSpec) -> float:
@@ -326,7 +313,7 @@ def pathloss_gain(i: NodeSpec, j: NodeSpec, radio: RadioSpec) -> float:
     The clamp keeps the gain from exceeding its reference value for links
     shorter than d_0, which would otherwise produce unbounded SINR.
     """
-    d = distance(i, j)
+    d = math.dist(i.position, j.position)
     if d <= 0.0:
         raise TopologyError(f"nodes {i.id} and {j.id} are coincident (distance 0)")
     try:

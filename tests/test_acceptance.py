@@ -25,7 +25,6 @@ from pareto_relay import (
     enumerate_rate_matrices,
     evaluate,
     fundamental_matrix,
-    interference_candidates,
     sample_feasible_forwarding,
     serialize_network,
     simulate,
@@ -219,7 +218,9 @@ def test_criterion_5_interfering_set_normalization(capsys, monkeypatch):
                 relay_rows[rng.random(k) < 0.2] = 0.0
             tau = rate_matrix(spec, relay_rows, [[1.0]])
             sender, receiver = 1, k + 2
-            pool = interference_candidates(tau, sender, receiver, 1)
+            # The slot's transmitters other than the two endpoints: the
+            # relays with a positive rate, by ascending id.
+            pool = [2 + i for i in range(k) if relay_rows[i, 0] > 0.0]
             largest_pool = max(largest_pool, len(pool))
 
             gains = gain_matrix(spec)

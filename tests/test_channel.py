@@ -14,7 +14,6 @@ from pareto_relay import (
     channel_matrix,
     channel_probability_exact,
     channel_probability_sampled,
-    interference_candidates,
     packet_success,
 )
 from pareto_relay import RateGrid, channel, enumerate_rate_matrices, topology
@@ -57,6 +56,15 @@ def sinr(spec, sender, receiver, interference) -> float:
     """SINR of the link: P_T * a_ij / (N_0 + I)."""
     signal = spec.radio.tx_power * gain_matrix(spec)[sender - 1, receiver - 1]
     return signal / (spec.radio.noise_power + interference)
+
+
+def interferers(tau, sender, receiver, slot) -> tuple[int, ...]:
+    """The interferer pool of a link: every node with a positive rate in
+    ``slot`` other than the two endpoints, by ascending id."""
+    return tuple(
+        k for k in range(1, len(tau.rates) + 1)
+        if k not in (sender, receiver) and tau.rate(k, slot) > 0.0
+    )
 
 
 def interfering_set_probability(members, candidates, slot, tau) -> float:
@@ -162,18 +170,26 @@ def test_sinr_examples():
 
 
 def test_interference_candidates_excludes_endpoints():
+    # Neither endpoint of a link interferes with it, active or not, and
+    # each slot has its own active set; p matches the subset enumeration
+    # over exactly that pool.
     spec = five_node()
-    tau = rate_matrix(
-        spec,
-        [[0.5, 0.0], [0.5, 0.0], [0.0, 0.3]],
-        [[1.0, 0.0]],
-    )
-    assert interference_candidates(tau, 1, 5, 1) == (2, 3)
-    assert interference_candidates(tau, 2, 5, 1) == (1, 3)
-    assert interference_candidates(tau, 1, 2, 1) == (3,)
-    assert interference_candidates(tau, 1, 5, 2) == (4,)
+    tau = rate_matrix(spec, [[0.5, 0.0], [0.5, 0.0], [0.0, 0.3]], [[1.0, 0.0]])
     idle = rate_matrix(spec, [[0.0] * 2] * 3, [[0.0, 0.0]])
-    assert interference_candidates(idle, 1, 5, 1) == ()
+    cases = [
+        (tau, (1, 5, 1), (2, 3)),  # an active sender
+        (tau, (2, 5, 1), (1, 3)),
+        (tau, (1, 2, 1), (3,)),  # an active receiver
+        (tau, (5, 2, 1), (1, 3)),  # an idle sender
+        (tau, (1, 5, 2), (4,)),
+        (idle, (1, 5, 1), ()),
+    ]
+    for rates, link, pool in cases:
+        assert interferers(rates, *link) == pool
+        got = channel_probability_exact(spec, rates, *link)
+        assert got == pytest.approx(_brute_force_probability(spec, rates, *link), abs=1e-12)
+    quiet = packet_success(sinr(spec, 1, 5, 0.0), spec.radio.packet_bits)
+    assert channel_probability_exact(spec, idle, 1, 5, 1) == pytest.approx(quiet, abs=1e-15)
 
 
 def test_interfering_set_probability_certainty():
@@ -209,7 +225,7 @@ def test_subset_probabilities_partition_unity():
     tau = rate_matrix(
         spec, [[0.3, 0.0], [0.7, 0.0], [0.25, 0.0]], [[0.9, 0.0]]
     )
-    pool = interference_candidates(tau, 1, 5, 1)
+    pool = interferers(tau, 1, 5, 1)
     total = 0.0
     for r in range(len(pool) + 1):
         for members in itertools.combinations(pool, r):
@@ -219,7 +235,7 @@ def test_subset_probabilities_partition_unity():
 
 def _brute_force_probability(spec, tau, sender, receiver, slot):
     """Independent oracle: explicit subset enumeration via combinations."""
-    pool = interference_candidates(tau, sender, receiver, slot)
+    pool = interferers(tau, sender, receiver, slot)
     total = 0.0
     for r in range(len(pool) + 1):
         for members in itertools.combinations(pool, r):
@@ -334,9 +350,9 @@ def test_channel_matrix_interference_free_geometry():
     tau = rate_matrix(spec, [[0.0, 0.4]], [[1.0, 0.0]])
     P = channel_matrix(tau, spec)
     # gamma = 10 / d^2 with this radio
-    assert P.p(1, 2, 1) == pytest.approx(packet_success(10.0, 100), abs=1e-15)
-    assert P.p(1, 3, 1) == pytest.approx(packet_success(2.5, 100), abs=1e-15)
-    assert P.p(2, 3, 2) == pytest.approx(packet_success(10.0, 100), abs=1e-15)
+    assert P.probs[0, 1, 0] == pytest.approx(packet_success(10.0, 100), abs=1e-15)
+    assert P.probs[0, 2, 0] == pytest.approx(packet_success(2.5, 100), abs=1e-15)
+    assert P.probs[1, 2, 1] == pytest.approx(packet_success(10.0, 100), abs=1e-15)
 
 
 def test_channel_matrix_shared_slot_strictly_below_interference_free():
@@ -345,9 +361,9 @@ def test_channel_matrix_shared_slot_strictly_below_interference_free():
     busy = rate_matrix(spec, [[0.6, 0.0], [0.6, 0.0], [0.6, 0.0]], [[1.0, 0.0]])
     P_quiet = channel_matrix(quiet, spec)
     P_busy = channel_matrix(busy, spec)
-    for j in (2, 3, 4, 5):
-        assert P_busy.p(1, j, 1) < P_quiet.p(1, j, 1)
-        assert P_busy.p(1, j, 2) == P_quiet.p(1, j, 2)
+    for j in (1, 2, 3, 4):
+        assert P_busy.probs[0, j, 0] < P_quiet.probs[0, j, 0]
+        assert P_busy.probs[0, j, 1] == P_quiet.probs[0, j, 1]
 
 
 def test_channel_matrix_sampled_fallback_deterministic_and_close(monkeypatch):
@@ -421,12 +437,6 @@ def test_channel_matrix_slot_cache_matches_fresh(constants, monkeypatch):
     assert len(cache) == len(columns)
 
 
-def test_channel_matrix_diagonal_access_rejected(three_node):
-    P = injected_channel(3, 2, {(1, 2, 1): 0.5})
-    with pytest.raises(ValueError):
-        P.p(2, 2, 1)
-
-
 def test_channel_matrix_validates_range():
     with pytest.raises(SchemaError):
         ChannelMatrix(2, 1, np.full((2, 2, 1), 1.5))
@@ -453,7 +463,7 @@ def test_channel_matrix_json_round_trip():
 
 
 def _link_probability_reference(spec, tau, sender, receiver, slot):
-    pool = interference_candidates(tau, sender, receiver, slot)
+    pool = interferers(tau, sender, receiver, slot)
     gains = gain_matrix(spec)
     p_t = spec.radio.tx_power
     signal = p_t * gains[sender - 1, receiver - 1]
@@ -475,7 +485,7 @@ def _channel_matrix_reference(tau, spec):
             for j in range(1, n + 1):
                 if i == j:
                     continue
-                if len(interference_candidates(tau, i, j, u)) <= channel.EXACT_CAP:
+                if len(interferers(tau, i, j, u)) <= channel.EXACT_CAP:
                     p = _link_probability_reference(spec, tau, i, j, u)
                 else:
                     p, _ = channel_probability_sampled(
@@ -592,7 +602,7 @@ def test_channel_matrix_blocks_of_one_pool_size_match_reference(seed, monkeypatc
 def test_channel_matrix_averages_each_pool_size_once(monkeypatch):
     spec, tau = _wide_strategy(0)
     sizes = {
-        len(interference_candidates(tau, i, j, u))
+        len(interferers(tau, i, j, u))
         for i in range(1, spec.n_nodes + 1)
         for j in range(1, spec.n_nodes + 1)
         for u in range(1, spec.slot_count + 1)
@@ -647,11 +657,11 @@ def test_exact_probability_is_a_float_equal_to_the_channel_matrix():
     spec, tau = _wide_strategy(0)
     probs = channel_matrix(tau, spec)
     links = [(1, 14, 2), (1, 14, 3), (14, 1, 2), (2, 1, 1)]
-    assert max(len(interference_candidates(tau, *link)) for link in links) >= 4
-    for link in links:
-        got = channel_probability_exact(spec, tau, *link)
+    assert max(len(interferers(tau, *link)) for link in links) >= 4
+    for i, j, u in links:
+        got = channel_probability_exact(spec, tau, i, j, u)
         assert type(got) is float
-        assert got.hex() == probs.p(*link).hex()
+        assert got.hex() == float(probs.probs[i - 1, j - 1, u - 1]).hex()
 
 
 def test_channel_slice_memory_stays_near_one_link():
@@ -662,7 +672,7 @@ def test_channel_slice_memory_stays_near_one_link():
     nodes.append((20, "destination", 9, 0))
     spec = make_spec(nodes, slots=1)
     tau = rate_matrix(spec, [[0.5]] * 15 + [[0.0]] * 3, [[1.0]])
-    assert len(interference_candidates(tau, 17, 20, 1)) == 16
+    assert len(interferers(tau, 17, 20, 1)) == 16
     gain_matrix(spec)
 
     tracemalloc.start()

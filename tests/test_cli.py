@@ -201,8 +201,8 @@ def test_evaluate_dump_channels(workspace, capsys):
     spec, tau = workspace["spec"], workspace["tau"]
     P = channel_matrix(tau, spec)
     by_key = {(e["i"], e["j"], e["u"]): e["p"] for e in doc["links"]}
-    assert by_key[(1, 2, 1)] == fmt(P.p(1, 2, 1))
-    assert by_key[(1, 3, 1)] == fmt(P.p(1, 3, 1))
+    assert by_key[(1, 2, 1)] == fmt(P.probs[0, 1, 0])
+    assert by_key[(1, 3, 1)] == fmt(P.probs[0, 2, 0])
     assert (2, 2, 1) not in by_key
 
 
@@ -662,6 +662,15 @@ def test_gate_failures_agree_across_callers(case):
     expected = (2, [f"infeasible: {raised[0][1]}"])
     assert _run_on_documents("evaluate", docs) == expected
     assert _run_on_documents("oracle", docs, "--packets", "100") == expected
+
+
+def test_evaluate_refuses_received_power_past_the_float_range():
+    docs = _strategy_documents()
+    del docs["sources"]
+    docs["topology"]["radio"].update(tx_power_w=1e308, reference_gain=1e308)
+    assert _run_on_documents("evaluate", docs) == (
+        1, ["error: tx_power_w * reference_gain must be finite"]
+    )
 
 
 # Text for one oracle flag: small and huge integers of either sign, floats

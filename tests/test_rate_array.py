@@ -4,8 +4,8 @@ replaced.
 ``_LoopRates`` and the ``_*_reference`` functions below are the
 entry-by-entry versions: a rate matrix split into a relay block and a source
 block behind a node-to-row dict, and builders that read one ``tau.rate`` /
-``P.p`` / ``X.x`` scalar at a time. Every output must match them bit for bit,
-except the consistency residuals, which the loop summed in set order and
+``P.probs`` / ``X.x`` scalar at a time. Every output must match them bit for
+bit, except the consistency residuals, which the loop summed in set order and
 which only a 1e-9 tolerance reads.
 """
 
@@ -60,10 +60,6 @@ class _LoopRates:
                 if row[u] > 0.0:
                     pairs.add((i, u + 1))
         self.transmissions = frozenset(pairs)
-        self.by_slot = {
-            u: tuple(sorted(i for (i, v) in pairs if v == u))
-            for u in range(1, self.slot_count + 1)
-        }
         relays = set(self.relay_ids)
         self.relay_index = tuple(p for p in sorted(pairs) if p[0] in relays)
         # the columns of D: (destination, slot) pairs
@@ -91,6 +87,11 @@ class _LoopRates:
         return tuple(sorted(self.relay_ids + self.source_ids))
 
 
+def _p(P, sender, receiver, slot) -> float:
+    """p_ij^u of 1-based ids and slot."""
+    return float(P.probs[sender - 1, receiver - 1, slot - 1])
+
+
 def _incoming_rate_reference(j, tau, channel):
     per_slot = np.zeros(tau.slot_count)
     for i in tau.transmitter_ids:
@@ -99,7 +100,7 @@ def _incoming_rate_reference(j, tau, channel):
         row = tau.row(i)
         for u in range(tau.slot_count):
             if row[u] > 0.0:
-                per_slot[u] += row[u] * channel.p(i, j, u + 1)
+                per_slot[u] += row[u] * _p(channel, i, j, u + 1)
     return per_slot, float(per_slot.sum())
 
 
@@ -123,7 +124,7 @@ def _feeder_terms_reference(tau, P, forwarder, out_slot):
     for sender, in_slot in sorted(tau.transmissions):
         if sender == forwarder:
             continue
-        coeff = tau.rate(sender, in_slot) * P.p(sender, forwarder, in_slot) * listen
+        coeff = tau.rate(sender, in_slot) * _p(P, sender, forwarder, in_slot) * listen
         if coeff > 0.0:
             terms.append((sender, in_slot, coeff))
     return terms
@@ -137,7 +138,7 @@ def _residuals_reference(X, tau, P):
         for i, u in tau.transmissions:
             if i == j:
                 continue
-            inflow += tau.rate(i, u) * P.p(i, j, u) * (1.0 - t_out) * X.x(i, j, u, v)
+            inflow += tau.rate(i, u) * _p(P, i, j, u) * (1.0 - t_out) * X.x(i, j, u, v)
         residuals[(j, v)] = inflow - t_out
     return residuals
 
@@ -149,7 +150,7 @@ def _relaying_matrix_reference(X, tau, P):
         for b, (j, v) in enumerate(index):
             if i == j:
                 continue
-            Q[a, b] = P.p(i, j, u) * (1.0 - tau.rate(j, v)) * X.x(i, j, u, v)
+            Q[a, b] = _p(P, i, j, u) * (1.0 - tau.rate(j, v)) * X.x(i, j, u, v)
     return Q
 
 
@@ -160,7 +161,7 @@ def _arrival_matrix_reference(tau, P, spec):
     for a, (i, u) in enumerate(index):
         for b, (d, w) in enumerate(arrivals):
             if w == u:
-                D[a, b] = P.p(i, d, u)
+                D[a, b] = _p(P, i, d, u)
     return D
 
 
@@ -175,11 +176,11 @@ def _initial_flow_reference(X, tau, P, spec):
                 continue
             for b, (j, v) in enumerate(index):
                 F1[s_row, b] += (
-                    t_src * P.p(S, j, u) * (1.0 - tau.rate(j, v)) * X.x(S, j, u, v)
+                    t_src * _p(P, S, j, u) * (1.0 - tau.rate(j, v)) * X.x(S, j, u, v)
                 )
             for b, (d, w) in enumerate(arrivals):
                 if w == u:
-                    F1[s_row, len(index) + b] = t_src * P.p(S, d, u)
+                    F1[s_row, len(index) + b] = t_src * _p(P, S, d, u)
     return F1
 
 
@@ -192,11 +193,11 @@ def _injections_reference(tau, X, P, spec):
                 continue
             spawn = np.array(
                 [
-                    P.p(S, j, u) * (1.0 - tau.rate(j, v)) * X.x(S, j, u, v)
+                    _p(P, S, j, u) * (1.0 - tau.rate(j, v)) * X.x(S, j, u, v)
                     for (j, v) in tau.relay_index
                 ]
             )
-            direct = np.array([P.p(S, d, u) for d in spec.destination_ids])
+            direct = np.array([_p(P, S, d, u) for d in spec.destination_ids])
             out.append((t_src, spawn, direct))
     return out
 
@@ -210,12 +211,12 @@ def _tau_flow_rate_reference(tau, P):
         row = tau.row(s)
         for u in range(1, tau.slot_count + 1):
             if row[u - 1] > 0.0:
-                total += row[u - 1] * sum(P.p(s, d, u) for d in destinations)
+                total += row[u - 1] * sum(_p(P, s, d, u) for d in destinations)
     for j in tau.relay_ids:
         row = tau.row(j)
         for v in range(1, tau.slot_count + 1):
             if row[v - 1] > 0.0:
-                total += row[v - 1] * sum(P.p(j, d, v) for d in destinations)
+                total += row[v - 1] * sum(_p(P, j, d, v) for d in destinations)
     return total
 
 
@@ -333,7 +334,6 @@ def test_rate_array_matches_split_layout_loops(name):
             for u in range(1, spec.slot_count + 1):
                 assert tau.rate(i, u) == ref.rate(i, u)
         assert active_set(tau).transmissions == ref.transmissions
-        assert active_set(tau).by_slot == ref.by_slot
         rows, slots = tau.relay_coords
         assert tuple(zip((rows + 1).tolist(), (slots + 1).tolist())) == ref.relay_index
 

@@ -91,3 +91,14 @@ def _topology(section, key, value):
 def test_loaders_reject_nan_and_missing_values(load):
     with pytest.raises(SchemaError):
         load()
+
+
+def test_received_power_past_the_float_range_is_refused():
+    # Each constant is finite, but P_T * g_ref is not: a short link's SINR
+    # would be inf / inf.
+    doc = serialize_network(line_spec())
+    doc["radio"].update(tx_power_w=1e308, reference_gain=1e308)
+    with pytest.raises(SchemaError, match=r"^tx_power_w \* reference_gain must be finite$"):
+        load_network(json.dumps(doc))
+    doc["radio"].update(reference_gain=1.0)
+    assert load_network(json.dumps(doc)).radio.tx_power == 1e308

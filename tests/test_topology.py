@@ -9,14 +9,13 @@ from pareto_relay import (
     channel_matrix,
     channel_probability_exact,
     channel_probability_sampled,
-    interference_candidates,
     load_network,
     serialize_network,
     solve_chain_closed_form,
 )
 from pareto_relay.errors import SchemaError, TopologyError
 from pareto_relay.forwarding import feeder_terms
-from pareto_relay.topology import distance, gain_matrix, pathloss_gain
+from pareto_relay.topology import gain_matrix, pathloss_gain
 
 from conftest import DEFAULT_RADIO, line_spec, make_spec, rate_matrix
 
@@ -152,7 +151,7 @@ def test_gain_symmetric_and_monotone():
     assert np.all(np.diag(g) == 0.0)
     # farther pairs never gain more
     pairs = [(1, 2), (1, 3), (1, 4)]
-    dists = [distance(spec.node(a), spec.node(b)) for a, b in pairs]
+    dists = [math.dist(spec.node(a).position, spec.node(b).position) for a, b in pairs]
     gains = [g[a - 1, b - 1] for a, b in pairs]
     order = np.argsort(dists)
     assert all(
@@ -211,8 +210,9 @@ def test_serialize_round_trip():
 
 
 def test_distance_euclidean():
+    # The pathloss distance is Euclidean: a 3-4-5 triangle at d_0 = 1.
     spec = make_spec([(1, "source", 0, 0), (2, "destination", 3, 4)])
-    assert distance(spec.node(1), spec.node(2)) == pytest.approx(5.0)
+    assert pathloss_gain(spec.node(1), spec.node(2), spec.radio) == pytest.approx(1 / 25)
 
 
 def test_network_without_relays_loads():
@@ -227,9 +227,6 @@ ONE_BASED_ACCESSORS = [
     ("rate-node", "node", lambda s, t, P, X, k: t.rate(k, 1)),
     ("rate-slot", "slot", lambda s, t, P, X, k: t.rate(1, k)),
     ("row", "node", lambda s, t, P, X, k: t.row(k)),
-    ("p-sender", "sender", lambda s, t, P, X, k: P.p(k, 2, 1)),
-    ("p-receiver", "receiver", lambda s, t, P, X, k: P.p(1, k, 1)),
-    ("p-slot", "slot", lambda s, t, P, X, k: P.p(1, 2, k)),
     ("x-sender", "sender", lambda s, t, P, X, k: X.x(k, 2, 1, 2)),
     ("x-forwarder", "forwarder", lambda s, t, P, X, k: X.x(1, k, 1, 2)),
     ("x-in-slot", "in_slot", lambda s, t, P, X, k: X.x(1, 2, k, 2)),
@@ -237,10 +234,6 @@ ONE_BASED_ACCESSORS = [
     ("node", "node", lambda s, t, P, X, k: s.node(k)),
     ("feeder-forwarder", "forwarder", lambda s, t, P, X, k: feeder_terms(t, P, k, 2)),
     ("feeder-out-slot", "out_slot", lambda s, t, P, X, k: feeder_terms(t, P, 2, k)),
-    ("candidates-sender", "sender", lambda s, t, P, X, k: interference_candidates(t, k, 3, 1)),
-    ("candidates-receiver", "receiver",
-     lambda s, t, P, X, k: interference_candidates(t, 1, k, 1)),
-    ("candidates-slot", "slot", lambda s, t, P, X, k: interference_candidates(t, 1, 3, k)),
     ("exact-sender", "sender", lambda s, t, P, X, k: channel_probability_exact(s, t, k, 3, 1)),
     ("exact-receiver", "receiver",
      lambda s, t, P, X, k: channel_probability_exact(s, t, 1, k, 1)),
