@@ -7,10 +7,12 @@ that subset transmits concurrently. The interferers of link (i, j) are every
 transmitter active in slot u except i and j, by ascending id. Interference
 is additive noise; the packet success rate comes from an uncoded BPSK/AWGN
 bit error rate.
-``channel_matrix`` takes the links of every uncached slot together and
-averages all links with m interferers in one subset lattice, one row per
-link; each block of rows ends in one stacked row-by-column ``np.matmul``,
-which numpy computes with the dot kernel of a per-link ``np.dot``.
+``channel_matrix`` takes the links of every uncached slot whose sender
+transmits in that slot together and averages all links with m interferers
+in one subset lattice, one row per link; each block of rows ends in one
+stacked row-by-column ``np.matmul``, which numpy computes with the dot
+kernel of a per-link ``np.dot``. A link whose sender is idle in the slot
+carries no packet, so the channel leaves its p at 0.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ def _pool_average(radio, signal: np.ndarray, gains: np.ndarray, rates: np.ndarra
     output, which numpy computes with the same dot kernel as one ``np.dot``
     per row. A matrix-vector product, ``np.einsum``, or a plain loop
     without FMA sums otherwise and differs from it from length 2 on.
+    A SINR too large for a float becomes inf, whose packet success is 1.
     """
     m = gains.shape[1]
     rows = max(1, _BLOCK_ELEMENTS >> m)
@@ -93,9 +96,9 @@ def _pool_average(radio, signal: np.ndarray, gains: np.ndarray, rates: np.ndarra
             np.add(i[:, lo], g[:, k, None], out=i[:, hi])
             np.multiply(p[:, lo], t[:, k, None], out=p[:, hi])
             np.multiply(p[:, lo], 1.0 - t[:, k, None], out=p[:, lo])
-        success = packet_success(
-            signal[at:at + rows, None] / (radio.noise_power + i), radio.packet_bits
-        )
+        with np.errstate(over="ignore"):  # only the divide: an overflowing sum still warns
+            sinr = signal[at:at + rows, None] / (radio.noise_power + i)
+        success = packet_success(sinr, radio.packet_bits)
         np.matmul(p[:, None, :], success[:, :, None], out=out[at:at + rows, None, None])
     return out
 
@@ -113,6 +116,9 @@ def channel_probability_exact(
 
     Raises :class:`EnumerationCapError` when there are more than
     ``EXACT_CAP`` interferers; use :func:`channel_probability_sampled` then.
+    The link is averaged whether or not the sender transmits in the slot;
+    ``channel_matrix`` computes only links whose sender does and holds 0 for
+    the others, so the two agree on active senders alone.
     """
     signal, gains, rates = _link(spec, tau, sender, receiver, slot)
     if len(rates) > EXACT_CAP:
@@ -136,7 +142,9 @@ def channel_probability_sampled(
 
     Each candidate interferer is drawn active with its own transmission
     rate; the packet success rate is averaged over the draws. Deterministic
-    for a fixed seed.
+    for a fixed seed. Like :func:`channel_probability_exact`, it estimates
+    the link even when the sender is idle in the slot, where
+    ``channel_matrix`` holds 0.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -170,7 +178,10 @@ def channel_probability_sampled(
 
 class ChannelMatrix:
     """Per-edge, per-slot success probabilities: ``probs[i - 1, j - 1, u - 1]``
-    is p_ij^u. A node has no link to itself, so the diagonal must be 0."""
+    is p_ij^u. A node has no link to itself, so the diagonal must be 0.
+    Every reader weighs p_ij^u by tau_i^u or reads only active
+    transmissions, so ``channel_matrix`` leaves the links of idle senders
+    at 0; an injected channel may hold any value there."""
 
     def __init__(self, n_nodes: int, slot_count: int, probs: np.ndarray):
         probs = np.asarray(probs, dtype=float)
@@ -222,7 +233,9 @@ def channel_matrix(
     *,
     slot_cache: dict | None = None,
 ) -> ChannelMatrix:
-    """Assemble p_ij^u for every ordered node pair and slot.
+    """Assemble p_ij^u for every ordered node pair (i, j) and slot u in
+    which i transmits; p is 0 where i is idle in u, since no packet is sent
+    there and every reader weighs p_ij^u by tau_i^u.
 
     Link (i, j) of slot u draws its interferers from the pool A minus {i, j}
     of the slot's active set A. The links of every slot that misses the
@@ -251,11 +264,11 @@ def channel_matrix(
         probs[:, :, u] = cache.get(key, 0.0)  # a missed slice is computed below
     if not miss:
         return ChannelMatrix(n, slots, probs)
-    # Every ordered link (i, j, u) of the missed slots, with its pool as a
-    # mask over the nodes active in some missed slot.
+    # Every link (i, j, u) of the missed slots whose sender i transmits in
+    # u, with its pool as a mask over the nodes active in some missed slot.
     active = tau.rates[:, miss] > 0.0
     nodes = np.flatnonzero(active.any(axis=1))
-    i, j, s = np.nonzero(~np.eye(n, dtype=bool)[:, :, None].repeat(len(miss), axis=2))
+    i, j, s = np.nonzero(active[:, None, :] & ~np.eye(n, dtype=bool)[:, :, None])
     pools = active[nodes, s[:, None]] & (nodes != i[:, None]) & (nodes != j[:, None])
     sizes = pools.sum(axis=1)
     u = np.array(miss)[s]

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from .channel import ChannelMatrix, channel_matrix
 from .errors import (
@@ -44,6 +44,11 @@ from .rates import (
 from .topology import NetworkSpec
 
 SPECTRAL_MARGIN = 1e-6
+
+# LAPACK's LU factorization and solve for float64, resolved once: the
+# ``lu_factor``/``lu_solve`` wrappers look them up and check their
+# arguments on every call, which costs more than the solve of a small Q.
+_GETRF, _GETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -132,16 +137,21 @@ def spectral_radius(Q: np.ndarray) -> float:
 
 
 def fundamental_matrix(Q: np.ndarray) -> np.ndarray:
-    """M_F = (I - Q)^{-1} via LU factorization with an explicit convergence
-    guard: the series behind M_F only makes sense when rho(Q) < 1.
+    """M_F = (I - Q)^{-1} via LAPACK ``getrf`` and ``getrs`` (the calls
+    and arguments of ``scipy.linalg.lu_factor`` and ``lu_solve``), with an
+    explicit convergence guard: the series behind M_F only makes sense when
+    rho(Q) < 1.
 
     Entries < 1 alone do not guarantee convergence (row sums may exceed 1),
-    so the spectral radius is always checked.
+    so the spectral radius is always checked. A non-finite Q or a
+    numerically singular I - Q raises :class:`NumericalError`.
     """
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
     if n == 0:
         return np.zeros((0, 0))
+    if not np.isfinite(Q).all():
+        raise NumericalError("the relaying matrix has a non-finite entry")
     rho_bound = float(np.max(np.abs(Q).sum(axis=1)))
     if rho_bound >= 1.0 - SPECTRAL_MARGIN:
         rho = spectral_radius(Q)
@@ -150,13 +160,10 @@ def fundamental_matrix(Q: np.ndarray) -> np.ndarray:
                 f"spectral radius {rho:.6g} of the relaying matrix is not "
                 f"safely below 1; the flow cascade does not die out"
             )
-    try:
-        lu, piv = lu_factor(np.eye(n) - Q)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"I - Q could not be factorized: {exc}") from exc
+    lu, piv, _ = _GETRF(np.eye(n) - Q)
     if np.min(np.abs(np.diag(lu))) < 1e-14:
         raise NumericalError("I - Q is numerically singular")
-    return lu_solve((lu, piv), np.eye(n))
+    return _GETRS(lu, piv, np.eye(n))[0]
 
 
 def delay_identity_gap(Q: np.ndarray, M_F: np.ndarray) -> float:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,15 +11,29 @@ from hypothesis import strategies as st
 
 from pareto_relay import (
     ChannelMatrix,
+    ForwardingMatrix,
     ber_bpsk_awgn,
     channel_matrix,
     channel_probability_exact,
     channel_probability_sampled,
+    check_flow_conservation,
+    check_half_duplex,
+    consistency_residuals,
+    evaluate,
     packet_success,
+    sample_feasible_forwarding,
+    solve_chain_closed_form,
 )
 from pareto_relay import RateGrid, channel, enumerate_rate_matrices, topology
 from pareto_relay.channel import _link_seed
-from pareto_relay.errors import EnumerationCapError, SchemaError
+from pareto_relay.errors import (
+    ClosedFormNotApplicableError,
+    EnumerationCapError,
+    ParetoRelayError,
+    SchemaError,
+)
+from pareto_relay.mc_oracle import _injections
+from pareto_relay.pareto import tau_flow_rate
 from pareto_relay.topology import gain_matrix
 
 from conftest import injected_channel, line_spec, make_spec, rate_matrix
@@ -380,13 +395,17 @@ def test_channel_matrix_sampled_fallback_deterministic_and_close(monkeypatch):
 
 def test_channel_matrix_default_sampled_estimate_is_pinned(monkeypatch):
     # No benchmark pool exceeds the cap, so this digest is what guards the
-    # default SAMPLES and SAMPLE_SEED of the sampled fallback.
+    # default SAMPLES and SAMPLE_SEED of the sampled fallback. It covers the
+    # 16 links whose sender transmits, in (i, j, u) order; the digest is that
+    # of the same entries when every ordered link was estimated.
     spec = five_node()
     tau = rate_matrix(spec, [[0.3, 0.0], [0.7, 0.0], [0.25, 0.0]], [[0.9, 0.0]])
     monkeypatch.setattr(channel, "EXACT_CAP", 0)
     probs = channel_matrix(tau, spec).probs
-    assert hashlib.sha256(probs.tobytes()).hexdigest() == (
-        "784c50bbb7fb6d37cabc1051ba47c75953aed0fdacbf666c94ee3fe42ef6d983"
+    sending = sending_links(tau)
+    assert sending.sum() == 16 and not probs[~sending].any()
+    assert hashlib.sha256(probs[sending].tobytes()).hexdigest() == (
+        "b43a9dbda9489ed26359c7294423da7a2aad32509e70b38c575af5da93810cdf"
     )
 
 
@@ -459,7 +478,8 @@ def test_channel_matrix_json_round_trip():
 # The per-link loop that channel_matrix ran before it took a slot one
 # interferer pool at a time: every ordered pair is its own subset doubling
 # and its own np.dot, and a pool above the cap takes the sampled estimate.
-# The slice kernel must match it bit for bit.
+# The slice kernel must match it bit for bit on every link whose sender
+# transmits, and leave every other link at 0.
 
 
 def _link_probability_reference(spec, tau, sender, receiver, slot):
@@ -496,6 +516,20 @@ def _channel_matrix_reference(tau, spec):
     return probs
 
 
+def sending_links(tau):
+    """Mask of the links (i, j, u), i != j, whose sender i transmits in u."""
+    n = len(tau.rates)
+    return (tau.rates[:, None, :] > 0.0) & ~np.eye(n, dtype=bool)[:, :, None]
+
+
+def assert_matches_reference(got, tau, spec):
+    """Each link whose sender transmits equals the per-link reference bit
+    for bit; every other entry, the diagonal included, is exactly 0."""
+    sending = sending_links(tau)
+    assert np.array_equal(got[sending], _channel_matrix_reference(tau, spec)[sending])
+    assert np.all(got[~sending] == 0.0)
+
+
 def _wide_strategy(seed):
     """One source, 12 relays and one destination on seeded positions, three
     slots: the source sends at rate 1 in slot 1, and each relay is active
@@ -518,8 +552,7 @@ def _wide_strategy(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_channel_matrix_matches_per_link_reference_on_wide_nets(seed):
     spec, tau = _wide_strategy(seed)
-    got = channel_matrix(tau, spec).probs
-    assert np.array_equal(got, _channel_matrix_reference(tau, spec))
+    assert_matches_reference(channel_matrix(tau, spec).probs, tau, spec)
 
 
 def test_channel_matrix_matches_reference_on_empty_and_single_slots():
@@ -537,7 +570,7 @@ def test_channel_matrix_matches_reference_on_empty_and_single_slots():
     tau = rate_matrix(
         spec, [[0.0, 0.0, 0.3], [0.0, 0.0, 0.6], [0.0, 0.0, 0.2]], [[1.0, 0.0, 0.5]]
     )
-    assert np.array_equal(channel_matrix(tau, spec).probs, _channel_matrix_reference(tau, spec))
+    assert_matches_reference(channel_matrix(tau, spec).probs, tau, spec)
 
 
 def test_channel_matrix_matches_reference_with_two_sources_and_two_destinations():
@@ -555,24 +588,24 @@ def test_channel_matrix_matches_reference_with_two_sources_and_two_destinations(
     tau = rate_matrix(
         spec, [[0.0, 0.4], [0.25, 0.3], [0.0, 0.35]], [[0.8, 0.0], [0.6, 0.1]]
     )
-    assert np.array_equal(channel_matrix(tau, spec).probs, _channel_matrix_reference(tau, spec))
+    assert_matches_reference(channel_matrix(tau, spec).probs, tau, spec)
 
 
 def test_channel_matrix_cap_splits_the_pools_of_one_slice(monkeypatch):
-    # Five transmitters in slot 1: pools of 5 (two idle endpoints), 4 (one
-    # active endpoint) and 3 (two). A cap of 4 samples only the first kind.
+    # Five transmitters in slot 1: a link from one of them has a pool of 4
+    # (an idle receiver) or 3 (an active one). A cap of 3 samples only the
+    # first kind.
     spec, _ = _wide_strategy(0)
     relay_rows = np.zeros((12, 3))
     relay_rows[[0, 3, 5, 8], 0] = (0.1, 0.15, 0.05, 0.1)
     tau = rate_matrix(spec, relay_rows, [[1.0, 0.0, 0.0]])
     exact = channel_matrix(tau, spec).probs
-    monkeypatch.setattr(channel, "EXACT_CAP", 4)
+    monkeypatch.setattr(channel, "EXACT_CAP", 3)
     monkeypatch.setattr(channel, "SAMPLES", 256)
     monkeypatch.setattr(channel, "SAMPLE_SEED", 3)
     got = channel_matrix(tau, spec).probs
-    assert np.array_equal(got, _channel_matrix_reference(tau, spec))
-    off_diagonal = ~np.eye(spec.n_nodes, dtype=bool)
-    same = (got[:, :, 0] == exact[:, :, 0])[off_diagonal]
+    assert_matches_reference(got, tau, spec)
+    same = (got == exact)[sending_links(tau)]
     assert same.any() and not same.all()
 
 
@@ -585,7 +618,7 @@ def test_channel_matrix_mixes_cached_and_missed_slots():
     swapped = rate_matrix(spec, tau.rates[1:13][:, [0, 2, 1]], [[1.0, 0.0, 0.0]])
     assert (swapped.rates[:, 1:] > 0).any(axis=0).all()
     got = channel_matrix(swapped, spec, slot_cache=cache).probs
-    assert np.array_equal(got, _channel_matrix_reference(swapped, spec))
+    assert_matches_reference(got, swapped, spec)
     assert len(cache) == 5
 
 
@@ -595,8 +628,7 @@ def test_channel_matrix_blocks_of_one_pool_size_match_reference(seed, monkeypatc
     # every group of links with more than 2 interferers spans several blocks.
     monkeypatch.setattr(channel, "_BLOCK_ELEMENTS", 32)
     spec, tau = _wide_strategy(seed)
-    got = channel_matrix(tau, spec).probs
-    assert np.array_equal(got, _channel_matrix_reference(tau, spec))
+    assert_matches_reference(channel_matrix(tau, spec).probs, tau, spec)
 
 
 def test_channel_matrix_averages_each_pool_size_once(monkeypatch):
@@ -606,7 +638,7 @@ def test_channel_matrix_averages_each_pool_size_once(monkeypatch):
         for i in range(1, spec.n_nodes + 1)
         for j in range(1, spec.n_nodes + 1)
         for u in range(1, spec.slot_count + 1)
-        if i != j
+        if i != j and tau.rate(i, u) > 0.0
     }
     calls = []
     kernel = channel._pool_average
@@ -653,10 +685,23 @@ def test_pool_average_matches_one_dot_per_row(m, rows, monkeypatch):
     assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
 
 
+def test_pool_average_is_quiet_only_where_the_sinr_overflows():
+    # A SINR past the float range is inf, whose packet success is 1: no
+    # warning. An interferer sum past it is a wrong SINR of 0 and still warns.
+    radio = five_node().radio
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = channel._pool_average(radio, np.array([1e308]), np.zeros((1, 1)), np.ones((1, 1)))
+    assert got.tolist() == [1.0]
+    with pytest.warns(RuntimeWarning, match="overflow encountered in add"):
+        channel._pool_average(radio, np.array([1e308]), np.full((1, 2), 1e308), np.ones((1, 2)))
+
+
 def test_exact_probability_is_a_float_equal_to_the_channel_matrix():
     spec, tau = _wide_strategy(0)
     probs = channel_matrix(tau, spec)
-    links = [(1, 14, 2), (1, 14, 3), (14, 1, 2), (2, 1, 1)]
+    links = [(1, 14, 1), (3, 14, 2), (4, 3, 2), (7, 14, 3)]
+    assert all(tau.rate(i, u) > 0.0 for i, _, u in links)
     assert max(len(interferers(tau, *link)) for link in links) >= 4
     for i, j, u in links:
         got = channel_probability_exact(spec, tau, i, j, u)
@@ -665,19 +710,20 @@ def test_exact_probability_is_a_float_equal_to_the_channel_matrix():
 
 
 def test_channel_slice_memory_stays_near_one_link():
-    # Sixteen transmitters share the pool of every link between the four idle
-    # nodes; a slice may hold no more at once than about one such link does.
+    # Sixteen transmitters: every link from one of them to one of the four
+    # idle nodes has the other fifteen as its pool, the largest the channel
+    # averages; a slice may hold no more at once than about one such link does.
     nodes = [(1, "source", 0, 0)]
     nodes += [(k, "relay", 1 + 0.3 * k, (-1) ** k * 0.2 * k) for k in range(2, 20)]
     nodes.append((20, "destination", 9, 0))
     spec = make_spec(nodes, slots=1)
     tau = rate_matrix(spec, [[0.5]] * 15 + [[0.0]] * 3, [[1.0]])
-    assert len(interferers(tau, 17, 20, 1)) == 16
+    assert len(interferers(tau, 1, 20, 1)) == 15
     gain_matrix(spec)
 
     tracemalloc.start()
     try:
-        _link_probability_reference(spec, tau, 17, 20, 1)
+        _link_probability_reference(spec, tau, 1, 20, 1)
         link_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         channel_matrix(tau, spec)
@@ -685,3 +731,84 @@ def test_channel_slice_memory_stays_near_one_link():
     finally:
         tracemalloc.stop()
     assert slice_peak <= 2 * link_peak, (slice_peak, link_peak)
+
+
+def _small_strategy(seed):
+    """A seeded net of 1–2 sources, 2–4 relays and 1–2 destinations over
+    2–3 slots: each source sends in one slot at rate 0.5 or 1, and each relay
+    is active with probability 0.7 in one slot at a rate up to 0.3. No gate
+    is checked."""
+    rng = np.random.default_rng([seed, 3])
+    n_src, n_rel, n_dst, slots = (
+        int(rng.integers(lo, hi)) for lo, hi in ((1, 3), (2, 5), (1, 3), (2, 4))
+    )
+    nodes = [(k, "source", 0.0, rng.uniform(-0.5, 0.5)) for k in range(1, n_src + 1)]
+    nodes += [
+        (n_src + k, "relay", rng.uniform(0.5, 1.5), rng.uniform(-1.0, 1.0))
+        for k in range(1, n_rel + 1)
+    ]
+    nodes += [
+        (n_src + n_rel + k, "destination", 2.2, rng.uniform(-0.5, 0.5))
+        for k in range(1, n_dst + 1)
+    ]
+    spec = make_spec(nodes, slots=slots)
+    source_rows = np.zeros((n_src, slots))
+    source_rows[np.arange(n_src), rng.integers(0, slots, n_src)] = rng.choice((0.5, 1.0), n_src)
+    relay_rows = np.zeros((n_rel, slots))
+    for row in relay_rows:
+        if rng.random() < 0.7:
+            row[rng.integers(0, slots)] = rng.choice((0.05, 0.1, 0.2, 0.3))
+    return spec, rate_matrix(spec, relay_rows, source_rows)
+
+
+def _forwarding(tau, P, spec, seed):
+    """The closed form, else one sampler draw, else (tau is infeasible) an
+    X that forwards nothing."""
+    try:
+        try:
+            return solve_chain_closed_form(tau, P, spec)
+        except ClosedFormNotApplicableError:
+            return sample_feasible_forwarding(tau, P, spec, 1, seed)[0]
+    except ParetoRelayError:
+        n, slots = spec.n_nodes, spec.slot_count
+        return ForwardingMatrix(np.zeros((n, n, slots, slots)))
+
+
+def _channel_readings(tau, X, spec, P):
+    """Everything the pipeline reads from a channel, as exact reprs and bytes:
+    both gate reports, the consistency residuals, the prune's flow rate, the
+    oracle's injections, and evaluate's criteria or its error."""
+    readings = [
+        repr(check_flow_conservation(tau, P).entries),
+        repr(check_half_duplex(tau, P).entries),
+        repr(consistency_residuals(X, tau, P).residuals),
+        tau_flow_rate(tau, P).hex(),
+        [(t, a.tobytes(), b.tobytes()) for t, a, b in _injections(tau, X, P, spec)],
+    ]
+    try:
+        readings.append([c.hex() for c in evaluate(tau, X, spec, channel=P).as_tuple()])
+    except ParetoRelayError as exc:
+        readings.append(f"{type(exc).__name__}: {exc}")
+    return readings
+
+
+def test_idle_sender_links_change_no_reading():
+    # Every reader weighs p_ij^u by tau_i^u or reads only active
+    # transmissions, so filling the idle-sender links with their exact
+    # per-link p must leave every reading identical to the bit.
+    evaluated = 0
+    for seed in range(40):
+        spec, tau = _small_strategy(seed)
+        P = channel_matrix(tau, spec)
+        probs = P.probs.copy()
+        idle = np.argwhere(~sending_links(tau) & ~np.eye(spec.n_nodes, dtype=bool)[:, :, None])
+        for i, j, u in idle.tolist():
+            probs[i, j, u] = channel_probability_exact(spec, tau, i + 1, j + 1, u + 1)
+        filled = ChannelMatrix.from_dense(probs)
+        assert (filled.probs != P.probs).any()
+        X = _forwarding(tau, P, spec, seed)
+        assert X.values.tobytes() == _forwarding(tau, filled, spec, seed).values.tobytes()
+        readings = _channel_readings(tau, X, spec, P)
+        assert readings == _channel_readings(tau, X, spec, filled), seed
+        evaluated += isinstance(readings[-1], list)
+    assert evaluated >= 30, evaluated

@@ -204,6 +204,40 @@ def test_evaluate_dump_channels(workspace, capsys):
     assert by_key[(1, 2, 1)] == fmt(P.probs[0, 1, 0])
     assert by_key[(1, 3, 1)] == fmt(P.probs[0, 2, 0])
     assert (2, 2, 1) not in by_key
+    # One link per ordered pair and slot; p is 0 where i does not transmit.
+    assert len(by_key) == 3 * 2 * 2
+    assert by_key[(1, 2, 2)] == by_key[(2, 3, 1)] == by_key[(3, 1, 1)] == 0.0
+    assert by_key[(2, 3, 2)] > 0.0
+
+
+def test_evaluate_overflowing_sinr_writes_no_warning(tmp_path):
+    """At a transmit power of 1e308 W the SINR of a 1-m link overflows to
+    inf, whose packet success is 1; stderr stays free of numpy warnings."""
+    spec = make_spec(
+        [(1, "source", 0, 0), (2, "relay", 1, 0), (3, "destination", 2, 0)],
+        radio={"tx_power_w": 1e308, "reference_gain": 1.0},
+    )
+    tau = rate_matrix(spec, [[0.0, 0.4]], [[1.0, 0.0]])
+    P = channel_matrix(tau, spec)
+    assert P.probs[0, 1, 0] == 1.0
+    paths = {}
+    for name, doc in (
+        ("topology", serialize_network(spec)),
+        ("tau", tau.to_json_dict()),
+        ("x", solve_chain_closed_form(tau, P, spec).to_json_dict()),
+    ):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    src = str(Path(pareto_relay.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "pareto_relay", "evaluate",
+         *(arg for name, path in paths.items() for arg in (f"--{name}", str(path)))],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert "Warning" not in proc.stderr, proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["f"] > 0.0
 
 
 def search_args(ws, out_dir, *extra):

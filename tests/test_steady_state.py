@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg import lu_factor, lu_solve
 
 from pareto_relay import (
     CriteriaVector,
@@ -195,6 +198,28 @@ def test_fundamental_matrix_rejects_divergent():
         fundamental_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))  # period 2
     with pytest.raises(DivergentSystemError):
         fundamental_matrix(np.array([[1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_fundamental_matrix_rejects_non_finite_q(bad):
+    Q = np.array([[0.0, 0.2], [bad, 0.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a LinAlgWarning would fail the test
+        with pytest.raises(NumericalError, match="non-finite"):
+            fundamental_matrix(Q)
+
+
+def test_fundamental_matrix_matches_scipy_lu_bit_for_bit():
+    # getrf/getrs with lu_factor's and lu_solve's arguments: the same
+    # values and the same (Fortran) memory layout, which later products see.
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(1, 15))
+        Q = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+        Q *= rng.uniform(0.1, 0.99) / max(1.0, float(np.max(Q.sum(axis=1))))
+        want = lu_solve(lu_factor(np.eye(n) - Q), np.eye(n))
+        got = fundamental_matrix(Q)
+        assert np.array_equal(got, want) and got.strides == want.strides
 
 
 def test_spectral_radius_against_eig_oracle():
