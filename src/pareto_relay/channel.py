@@ -60,6 +60,16 @@ def _link(spec: NetworkSpec, tau: RateMatrix, sender: int, receiver: int, slot: 
     return power[i], power[pool], tau.rates[pool, u]
 
 
+def _success(radio, signal, interf):
+    """Packet success at SINR ``signal / (noise + interf)``. A SINR too
+    large for a float becomes inf, whose packet success is 1: only the
+    divide's overflow is ignored, so an overflowing sum still warns."""
+    noisy = radio.noise_power + interf
+    with np.errstate(over="ignore"):
+        sinr = signal / noisy
+    return packet_success(sinr, radio.packet_bits)
+
+
 # The rows of one pool size m are taken in blocks, so that no 2-D array
 # holds more than max(2^m, this) elements: one link at a time from m = 12
 # on, as a per-link loop would hold them. At 2^16, the rare call with many
@@ -80,7 +90,6 @@ def _pool_average(radio, signal: np.ndarray, gains: np.ndarray, rates: np.ndarra
     output, which numpy computes with the same dot kernel as one ``np.dot``
     per row. A matrix-vector product, ``np.einsum``, or a plain loop
     without FMA sums otherwise and differs from it from length 2 on.
-    A SINR too large for a float becomes inf, whose packet success is 1.
     """
     m = gains.shape[1]
     rows = max(1, _BLOCK_ELEMENTS >> m)
@@ -96,9 +105,7 @@ def _pool_average(radio, signal: np.ndarray, gains: np.ndarray, rates: np.ndarra
             np.add(i[:, lo], g[:, k, None], out=i[:, hi])
             np.multiply(p[:, lo], t[:, k, None], out=p[:, hi])
             np.multiply(p[:, lo], 1.0 - t[:, k, None], out=p[:, lo])
-        with np.errstate(over="ignore"):  # only the divide: an overflowing sum still warns
-            sinr = signal[at:at + rows, None] / (radio.noise_power + i)
-        success = packet_success(sinr, radio.packet_bits)
+        success = _success(radio, signal[at:at + rows, None], i)
         np.matmul(p[:, None, :], success[:, :, None], out=out[at:at + rows, None, None])
     return out
 
@@ -162,8 +169,7 @@ def channel_probability_sampled(
             interf = masks @ int_gains
         else:
             interf = np.zeros(n)
-        succ = packet_success(signal / (spec.radio.noise_power + interf),
-                              spec.radio.packet_bits)
+        succ = _success(spec.radio, signal, interf)
         total += float(succ.sum())
         total_sq += float(np.dot(succ, succ))
         remaining -= n

@@ -16,8 +16,6 @@ point, so the samples are not uniform on such a constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import ChannelMatrix
@@ -29,7 +27,7 @@ from .errors import (
     ModelViolationError,
     SchemaError,
 )
-from .rates import DEFAULT_TOLERANCE, RateMatrix
+from .rates import DEFAULT_TOLERANCE, GateReport, RateMatrix
 from .topology import NetworkSpec, read_object, sparse_entries, zero_based
 
 MAX_REJECTION_ATTEMPTS = 200
@@ -96,44 +94,18 @@ class ForwardingMatrix:
         )
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Signed residual of the coupling constraint per active relay
-    transmission (forwarder, out-slot). Source transmissions carry no
-    constraint: they inject flow rather than forward it."""
-
-    residuals: dict[tuple[int, int], float]
-    tolerance: float = DEFAULT_TOLERANCE
-
-    @property
-    def max_abs_residual(self) -> float:
-        if not self.residuals:
-            return 0.0
-        return max(abs(r) for r in self.residuals.values())
-
-    @property
-    def consistent(self) -> bool:
-        return self.max_abs_residual <= self.tolerance
-
-    def raise_if_inconsistent(self) -> None:
-        if not self.consistent:
-            worst = max(self.residuals, key=lambda k: abs(self.residuals[k]))
-            raise InconsistentForwardingError(
-                f"forwarding matrix violates the rate-coupling constraint at "
-                f"(node {worst[0]}, slot {worst[1]}): residual "
-                f"{self.residuals[worst]:.3e} exceeds {self.tolerance:.1e}"
-            )
-
-
-def check_forwarder_roles(X: ForwardingMatrix, tau: RateMatrix) -> None:
+def check_forwarder_roles(X: ForwardingMatrix, tau: RateMatrix) -> GateReport:
     """Nonzero forwarding by a source or destination breaks the model."""
     mask = np.ones(X.n_nodes, dtype=bool)
     mask[tau.relay_rows] = False
-    if np.any(X.values[:, mask, :, :] > 0.0):
-        raise ModelViolationError(
-            "forwarding entries must be zero when the forwarder is a source "
-            "or a destination"
-        )
+    forwards = np.any(X.values[:, mask] > 0.0, axis=(0, 2, 3)).tolist()
+    ids = (np.flatnonzero(mask) + 1).tolist()
+    entries = {k: (not f,) for k, f in zip(ids, forwards)}  # source or destination -> (ok,)
+    return GateReport(
+        entries, ModelViolationError,
+        "forwarding entries must be zero when the forwarder is a source or a "
+        "destination",
+    )
 
 
 def coupling(tau: RateMatrix, P: ChannelMatrix, i, u, j, v) -> np.ndarray:
@@ -183,17 +155,25 @@ def consistency_residuals(
     tau: RateMatrix,
     P: ChannelMatrix,
     tolerance: float = DEFAULT_TOLERANCE,
-) -> ConsistencyReport:
+) -> GateReport:
     """Residual (incoming forwarded flow) - tau_j^v for every active relay
-    transmission. X is feasible for tau iff all residuals vanish within
-    the tolerance."""
+    transmission (forwarder, out-slot); sources inject flow and carry none.
+    X is feasible for tau iff all residuals vanish within the tolerance."""
     i, u = (c[:, None] for c in tau.active_coords)
     j, v = tau.relay_coords
     # One row per active transmission (i, u), one column per (j, v).
     inflow = (coupling(tau, P, i, u, j, v) * X.values[i, j, u, v]).sum(axis=0)
     keys = zip((j + 1).tolist(), (v + 1).tolist())
     residuals = dict(zip(keys, (inflow - tau.rates[j, v]).tolist()))
-    return ConsistencyReport(residuals, tolerance)
+    entries = {k: (r, abs(r) <= tolerance) for k, r in residuals.items()}  # -> (residual, ok)
+    # The message names the first entry with the largest |residual|.
+    worst = max(residuals, key=lambda k: abs(residuals[k]), default=None)
+    message = "" if worst is None else (
+        f"forwarding matrix violates the rate-coupling constraint at "
+        f"(node {worst[0]}, slot {worst[1]}): residual "
+        f"{residuals[worst]:.3e} exceeds {tolerance:.1e}"
+    )
+    return GateReport(entries, InconsistentForwardingError, message)
 
 
 def solve_chain_closed_form(

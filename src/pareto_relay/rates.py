@@ -182,8 +182,8 @@ def incoming_rates(tau: RateMatrix, channel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GateReport:
-    """Verdicts of one rate gate: ``entries`` maps each checked relay, or
-    (relay, slot) pair, to its figures with the verdict last. A failed gate
+    """Verdicts of one feasibility gate: ``entries`` maps each checked node,
+    or (node, slot) pair, to its figures with the verdict last. A failed gate
     raises ``error`` with ``message`` formatted on the sorted failing keys."""
 
     entries: dict

@@ -268,11 +268,11 @@ def check_strategy(
     elif P.probs.shape != (n, n, slots):
         raise SchemaError("channel matrix shape does not match the network")
     if X is not None:
-        check_forwarder_roles(X, tau)
+        check_forwarder_roles(X, tau).raise_if_failed()
     check_flow_conservation(tau, P, tolerance).raise_if_failed()
     check_half_duplex(tau, P, tolerance).raise_if_failed()
     if X is not None:
-        consistency_residuals(X, tau, P, tolerance).raise_if_inconsistent()
+        consistency_residuals(X, tau, P, tolerance).raise_if_failed()
     return P
 
 

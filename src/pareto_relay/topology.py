@@ -136,6 +136,16 @@ class NetworkSpec:
         for a, i in enumerate(self.nodes):
             for j in self.nodes[a + 1:]:
                 g[i.id - 1, j.id - 1] = g[j.id - 1, i.id - 1] = pathloss_gain(i, j, self.radio)
+        # No interferer sum at receiver j exceeds noise plus the power of every
+        # transmitter but j; past the float range the SINR would be a wrong 0.
+        senders = [k.id - 1 for k in self.nodes if k.role != Role.DESTINATION]
+        with np.errstate(over="ignore"):
+            worst = self.radio.noise_power + (self.radio.tx_power * g[senders]).sum(axis=0)
+        if not np.isfinite(worst).all():
+            raise SchemaError(
+                f"noise_power_w plus the power of every other transmitter at "
+                f"node {int(np.argmin(np.isfinite(worst))) + 1} must be finite"
+            )
         g.setflags(write=False)
         return g
 

@@ -697,6 +697,27 @@ def test_pool_average_is_quiet_only_where_the_sinr_overflows():
         channel._pool_average(radio, np.array([1e308]), np.full((1, 2), 1e308), np.ones((1, 2)))
 
 
+def test_sampled_fallback_is_quiet_where_the_sinr_overflows(monkeypatch):
+    # On the 1e308-W line network every link whose pool is empty has a SINR
+    # of inf, whose packet success is 1; with EXACT_CAP 0 the pools of one
+    # interferer take the sampled estimate, whose draws include such a SINR
+    # whenever the interferer is idle.
+    spec = make_spec(
+        [(1, "source", 0, 0), (2, "relay", 1, 0), (3, "destination", 2, 0)],
+        radio={"tx_power_w": 1e308, "reference_gain": 1.0},
+    )
+    tau = rate_matrix(spec, [[0.4, 0.4]], [[1.0, 0.0]])
+    exact = channel_probability_exact(spec, tau, 1, 3, 1)
+    assert 0.6 <= exact < 1.0
+    monkeypatch.setattr(channel, "EXACT_CAP", 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        P = channel_matrix(tau, spec)
+        assert channel_probability_sampled(spec, tau, 1, 2, 1, 1000, 0) == (1.0, 0.0)
+    assert P.probs[0, 1, 0] == 1.0
+    assert P.probs[0, 2, 0] == pytest.approx(exact, abs=0.01)
+
+
 def test_exact_probability_is_a_float_equal_to_the_channel_matrix():
     spec, tau = _wide_strategy(0)
     probs = channel_matrix(tau, spec)
@@ -781,7 +802,7 @@ def _channel_readings(tau, X, spec, P):
     readings = [
         repr(check_flow_conservation(tau, P).entries),
         repr(check_half_duplex(tau, P).entries),
-        repr(consistency_residuals(X, tau, P).residuals),
+        repr(consistency_residuals(X, tau, P).entries),
         tau_flow_rate(tau, P).hex(),
         [(t, a.tobytes(), b.tobytes()) for t, a, b in _injections(tau, X, P, spec)],
     ]

@@ -18,12 +18,16 @@ from pareto_relay import (
     ForwardingMatrix,
     SimConfig,
     channel_matrix,
+    check_flow_conservation,
+    check_half_duplex,
+    consistency_residuals,
     evaluate,
     serialize_network,
     simulate,
     solve_chain_closed_form,
 )
 from pareto_relay.cli import main
+from pareto_relay.forwarding import check_forwarder_roles
 from pareto_relay.mc_oracle import _log_q
 from pareto_relay.errors import (
     FlowConservationError,
@@ -34,7 +38,7 @@ from pareto_relay.errors import (
 )
 from pareto_relay.steady_state import check_strategy
 
-from conftest import line_spec, make_spec, rate_matrix
+from conftest import DEFAULT_RADIO, line_spec, make_spec, rate_matrix
 
 
 def fmt(x: float) -> float:
@@ -698,6 +702,56 @@ def test_gate_failures_agree_across_callers(case):
     assert _run_on_documents("oracle", docs, "--packets", "100") == expected
 
 
+# The message each case of ``_gate_failures`` raises, and the failing keys
+# of every gate report on it (none for a layout mismatch, where the gates
+# cannot run).
+GATE_VERDICTS = {
+    "layout": ("rate matrix layout does not match the network", None),
+    "roles": (
+        "forwarding entries must be zero when the forwarder is a source or a "
+        "destination",
+        {"roles": [3], "flow": [], "half duplex": [], "consistency": []},
+    ),
+    "flow": (
+        "flow conservation fails: relays [2] transmit more than they receive",
+        {"roles": [], "flow": [2], "half duplex": [], "consistency": [(2, 2)]},
+    ),
+    "half duplex": (
+        "half-duplex constraint fails at (node, slot) [(3, 1)]",
+        {"roles": [], "flow": [], "half duplex": [(3, 1)], "consistency": [(3, 2)]},
+    ),
+    "consistency": (
+        "forwarding matrix violates the rate-coupling constraint at (node 2, "
+        "slot 2): residual -4.000e-01 exceeds 1.0e-09",
+        {"roles": [], "flow": [], "half duplex": [], "consistency": [(2, 2)]},
+    ),
+    "roles and flow": (
+        "forwarding entries must be zero when the forwarder is a source or a "
+        "destination",
+        {"roles": [3], "flow": [2], "half duplex": [], "consistency": [(2, 2)]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GATE_VERDICTS))
+def test_gate_messages_and_failures_are_pinned(case):
+    spec, tau, X, error = _gate_failures()[case]
+    message, failures = GATE_VERDICTS[case]
+    with pytest.raises(error) as info:
+        check_strategy(tau, spec, None, X)
+    assert str(info.value) == message
+    if failures is None:
+        return
+    P = channel_matrix(tau, spec)
+    reports = {
+        "roles": check_forwarder_roles(X, tau),
+        "flow": check_flow_conservation(tau, P),
+        "half duplex": check_half_duplex(tau, P),
+        "consistency": consistency_residuals(X, tau, P),
+    }
+    assert {name: report.failures() for name, report in reports.items()} == failures
+
+
 def test_evaluate_refuses_received_power_past_the_float_range():
     docs = _strategy_documents()
     del docs["sources"]
@@ -705,6 +759,47 @@ def test_evaluate_refuses_received_power_past_the_float_range():
     assert _run_on_documents("evaluate", docs) == (
         1, ["error: tx_power_w * reference_gain must be finite"]
     )
+
+
+def test_evaluate_refuses_an_interferer_sum_past_the_float_range(tmp_path):
+    """At 1e308 W, relays 3 and 4 reach the destination and relay 2 with a
+    gain near 1, so their summed power there is past the float range: the
+    network is refused with one line. Before, evaluate exited 0 on this
+    strategy, with two numpy warnings and f taken from SINR-0 terms where
+    that sum overflowed to inf. X is a feasible draw for that channel."""
+    nodes = [("source", 0.0, 0.0), ("relay", 2.0, 0.3), ("relay", 2.0, -0.3),
+             ("relay", 2.5, 0.0), ("destination", 3.0, 0.0)]
+    x = [(1, 2, 1, 0.006266301891583002), (1, 3, 1, 0.0010158877531148878),
+         (1, 4, 1, 0.0005281780564296242), (2, 3, 2, 0.10025104125529784),
+         (2, 4, 2, 0.7280634735975792), (3, 2, 2, 0.14666028303316453),
+         (3, 4, 2, 0.2388865526532886), (4, 2, 2, 0.240682896759608),
+         (4, 3, 2, 0.8174355171089058)]
+    docs = {
+        "topology": {
+            "nodes": [{"id": k, "role": role, "x": a, "y": b}
+                      for k, (role, a, b) in enumerate(nodes, 1)],
+            "radio": {**DEFAULT_RADIO, "tx_power_w": 1e308},
+            "frame": {"slots": 2},
+        },
+        "tau": {"tau": [[0.0, 0.01]] * 3, "sources": [[1.0, 0.0]]},
+        "x": {"entries": [{"i": i, "j": j, "u": u, "v": 2, "x": value}
+                          for i, j, u, value in x]},
+    }
+    paths = []
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        paths += [f"--{name}", str(tmp_path / f"{name}.json")]
+    src = str(Path(pareto_relay.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "pareto_relay", "evaluate", *paths],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: noise_power_w plus the power of every other transmitter at "
+        "node 2 must be finite"
+    ]
 
 
 # Text for one oracle flag: small and huge integers of either sign, floats

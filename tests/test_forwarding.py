@@ -67,10 +67,9 @@ def test_vacuous_consistency():
     spec, _, P = chain_setup()
     tau = rate_matrix(spec, [[0.0, 0.0]], [[1.0, 0.0]])
     report = consistency_residuals(ForwardingMatrix.zeros(3, 2), tau, P)
-    assert report.residuals == {}
-    assert report.max_abs_residual == 0.0
-    assert report.consistent
-    report.raise_if_inconsistent()  # must not raise
+    assert report.entries == {}
+    assert report.all_ok
+    report.raise_if_failed()  # must not raise
 
 
 def test_closed_form_reference_value():
@@ -85,7 +84,7 @@ def test_closed_form_solution_is_consistent():
     spec, tau, P = chain_setup()
     X = solve_chain_closed_form(tau, P, spec)
     report = consistency_residuals(X, tau, P)
-    assert report.max_abs_residual <= 1e-12
+    assert max(abs(r) for r, _ in report.entries.values()) <= 1e-12
 
 
 def test_perturbed_solution_residual_is_linear():
@@ -95,10 +94,10 @@ def test_perturbed_solution_residual_is_linear():
     bumped[0, 1, 0, 1] += 0.1
     report = consistency_residuals(ForwardingMatrix(bumped), tau, P)
     # residual grows by exactly the feeder coefficient times the bump
-    assert report.residuals[(2, 2)] == pytest.approx(0.1 * 1.0 * 0.8 * 0.6)
-    assert not report.consistent
+    assert report.entries[(2, 2)][0] == pytest.approx(0.1 * 1.0 * 0.8 * 0.6)
+    assert not report.all_ok
     with pytest.raises(InconsistentForwardingError):
-        report.raise_if_inconsistent()
+        report.raise_if_failed()
 
 
 def test_closed_form_idle_relay_yields_zero_matrix():
@@ -156,7 +155,7 @@ def test_sampler_two_feeders_all_consistent():
     draws = sample_feasible_forwarding(tau, P, spec, count=100, seed=42)
     assert len(draws) == 100
     for X in draws:
-        assert consistency_residuals(X, tau, P).max_abs_residual <= 1e-9
+        assert consistency_residuals(X, tau, P).all_ok  # |residual| <= 1e-9
         assert np.min(X.values) >= 0.0 and np.max(X.values) <= 1.0
     # the sampler explores the constraint segment rather than one point
     xs = {round(X.x(1, 3, 1, 2), 12) for X in draws}
@@ -211,7 +210,7 @@ def test_sampler_tight_constraint_falls_back_to_full_forwarding():
     (X,) = sample_feasible_forwarding(tau, P, spec, count=1, seed=0)
     assert X.x(1, 3, 1, 2) == pytest.approx(1.0)
     assert X.x(2, 3, 1, 2) == pytest.approx(1.0)
-    assert consistency_residuals(X, tau, P).consistent
+    assert consistency_residuals(X, tau, P).all_ok
 
 
 def _sampler_reference(tau, P, spec, count, seed):
@@ -337,11 +336,11 @@ def test_forwarder_roles_enforced():
     bad = np.zeros((3, 3, 2, 2))
     bad[1, 0, 1, 0] = 0.5  # the source cannot forward
     with pytest.raises(ModelViolationError):
-        check_forwarder_roles(ForwardingMatrix(bad), tau)
+        check_forwarder_roles(ForwardingMatrix(bad), tau).raise_if_failed()
     worse = np.zeros((3, 3, 2, 2))
     worse[0, 2, 0, 1] = 0.5  # neither can the destination
     with pytest.raises(ModelViolationError):
-        check_forwarder_roles(ForwardingMatrix(worse), tau)
+        check_forwarder_roles(ForwardingMatrix(worse), tau).raise_if_failed()
     ok = np.zeros((3, 3, 2, 2))
     ok[0, 1, 0, 1] = 0.5
-    check_forwarder_roles(ForwardingMatrix(ok), tau)  # must not raise
+    check_forwarder_roles(ForwardingMatrix(ok), tau).raise_if_failed()  # must not raise
