@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import EnumerationCapError, SchemaError
-from .rates import RateMatrix
+from .rates import RateMatrix, in_unit_interval
 from .topology import NetworkSpec, gain_matrix, read_object, sparse_entries, zero_based
 
 # A pool of at most EXACT_CAP interferers is averaged exactly over its 2^m
@@ -32,18 +32,31 @@ SAMPLES = 100_000
 SAMPLE_SEED = 0
 
 
-def ber_bpsk_awgn(gamma):
-    """Bit error rate for uncoded BPSK on AWGN: 0.5 * erfc(sqrt(gamma))."""
+def _ber(gamma: np.ndarray) -> np.ndarray:
+    return 0.5 * erfc(np.sqrt(gamma))
+
+
+def _packet_success(gamma: np.ndarray, packet_bits: int) -> np.ndarray:
+    # The formula of packet_success, on a float array of SINRs >= 0.
+    return np.power(1.0 - _ber(gamma), packet_bits)
+
+
+def _sinr_array(gamma) -> np.ndarray:
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
         raise ValueError("SINR must be >= 0")
-    out = 0.5 * erfc(np.sqrt(g))
+    return g
+
+
+def ber_bpsk_awgn(gamma):
+    """Bit error rate for uncoded BPSK on AWGN: 0.5 * erfc(sqrt(gamma))."""
+    out = _ber(_sinr_array(gamma))
     return float(out) if np.isscalar(gamma) else out
 
 
 def packet_success(gamma, packet_bits: int):
     """(1 - BER)^N_b: the probability that all N_b bits of a packet arrive."""
-    out = np.power(1.0 - ber_bpsk_awgn(gamma), packet_bits)
+    out = _packet_success(_sinr_array(gamma), packet_bits)
     return float(out) if np.isscalar(gamma) else out
 
 
@@ -67,7 +80,7 @@ def _success(radio, signal, interf):
     noisy = radio.noise_power + interf
     with np.errstate(over="ignore"):
         sinr = signal / noisy
-    return packet_success(sinr, radio.packet_bits)
+    return _packet_success(sinr, radio.packet_bits)
 
 
 # The rows of one pool size m are taken in blocks, so that no 2-D array
@@ -195,7 +208,7 @@ class ChannelMatrix:
             raise SchemaError(
                 f"channel matrix must have shape ({n_nodes}, {n_nodes}, {slot_count})"
             )
-        if not np.all((probs >= 0.0) & (probs <= 1.0)):
+        if not in_unit_interval(probs):
             raise SchemaError("channel probabilities must lie in [0, 1]")
         if np.any(np.diagonal(probs)):
             raise SchemaError("channel probabilities from a node to itself must be 0")

@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -138,8 +139,14 @@ def _manifest(
     return manifest
 
 
+def _write(path, text: str) -> None:
+    """Write ``text`` (ASCII JSON or CSV) to ``path`` in one buffered binary
+    write, truncating an existing file."""
+    Path(path).write_bytes(text.encode())
+
+
 def _write_manifest(path: Path, manifest: dict) -> None:
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    _write(path, json.dumps(manifest, indent=2) + "\n")
 
 
 def _load_strategy(args, digests: dict[str, str]):
@@ -149,7 +156,7 @@ def _load_strategy(args, digests: dict[str, str]):
     X = ForwardingMatrix.from_json(_read(args.x, digests), spec.n_nodes, spec.slot_count)
     channel = channel_matrix(tau, spec)
     if args.dump_channels:
-        Path(args.dump_channels).write_text(_dump_json(channel.to_json_dict()))
+        _write(args.dump_channels, _dump_json(channel.to_json_dict()))
     return spec, tau, X, channel
 
 
@@ -159,7 +166,7 @@ def _write_result(subcommand: str, args, payload: dict, digests: dict, started: 
     sys.stdout.write(text)
     if args.output:
         out = Path(args.output)
-        out.write_text(text)
+        _write(out, text)
         manifest = _manifest(subcommand, args, digests, time.perf_counter() - started)
         _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), manifest)
     return 0
@@ -227,8 +234,8 @@ def cmd_search(args) -> int:
     for sol in result.archive.members:
         tau_name = f"tau_{sol.solution_id}.json"
         x_name = f"x_{sol.solution_id}.json"
-        (out_dir / tau_name).write_text(_dump_json(sol.tau.to_json_dict()))
-        (out_dir / x_name).write_text(_dump_json(sol.forwarding.to_json_dict()))
+        _write(out_dir / tau_name, _dump_json(sol.tau.to_json_dict()))
+        _write(out_dir / x_name, _dump_json(sol.forwarding.to_json_dict()))
         c = sol.criteria
         rows.append(
             [
@@ -242,10 +249,11 @@ def cmd_search(args) -> int:
             ]
         )
 
-    with open(out_dir / "front.csv", "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["solution_id", "f", "f_c", "f_d", "f_e", "tau_path", "x_path"])
-        writer.writerows(rows)
+    front = io.StringIO()
+    writer = csv.writer(front, lineterminator="\n")
+    writer.writerow(["solution_id", "f", "f_c", "f_d", "f_e", "tau_path", "x_path"])
+    writer.writerows(rows)
+    _write(out_dir / "front.csv", front.getvalue())
 
     manifest = _manifest("search", args, digests, time.perf_counter() - started)
     _write_manifest(out_dir / "manifest.json", manifest)

@@ -27,7 +27,7 @@ from .errors import (
     ModelViolationError,
     SchemaError,
 )
-from .rates import DEFAULT_TOLERANCE, GateReport, RateMatrix
+from .rates import DEFAULT_TOLERANCE, GateReport, RateMatrix, in_unit_interval
 from .topology import NetworkSpec, read_object, sparse_entries, zero_based
 
 MAX_REJECTION_ATTEMPTS = 200
@@ -42,7 +42,7 @@ class ForwardingMatrix:
         if values.ndim != 4 or values.shape[0] != values.shape[1] \
                 or values.shape[2] != values.shape[3]:
             raise SchemaError("forwarding matrix must have shape (n, n, T, T)")
-        if not np.all((values >= 0.0) & (values <= 1.0)):
+        if not in_unit_interval(values):
             raise SchemaError("forwarding probabilities must lie in [0, 1]")
         self.values = values
         self.values.setflags(write=False)

@@ -74,8 +74,8 @@ class RateMatrix:
         self.relay_ids = spec.relay_ids
         self.source_ids = spec.source_ids
         self.slot_count = spec.slot_count
-        self.relay_rows = np.array(self.relay_ids, dtype=int) - 1
-        self.source_rows = np.array(self.source_ids, dtype=int) - 1
+        self.relay_rows = spec.relay_rows
+        self.source_rows = spec.source_rows
         blocks = []
         for name, rows, given in (
             ("relay", self.relay_rows, relay_rates),
@@ -92,7 +92,7 @@ class RateMatrix:
         rates = np.zeros((spec.n_nodes, self.slot_count))
         for rows, given in blocks:
             rates[rows] = given
-        if not np.all((rates >= 0.0) & (rates <= 1.0)):
+        if not in_unit_interval(rates):
             raise SchemaError("relay and source rates must lie in [0, 1]")
         rates.setflags(write=False)
         self.rates = rates
@@ -157,6 +157,11 @@ class RateMatrix:
             f"RateMatrix(relays={self.relay_ids}, tau={self.relay_rates.tolist()},"
             f" sources={self.source_rates.tolist()})"
         )
+
+
+def in_unit_interval(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` lies in [0, 1]; NaN does not."""
+    return a.size == 0 or bool(0.0 <= a.min() <= a.max() <= 1.0)
 
 
 @dataclass(frozen=True)

@@ -130,12 +130,14 @@ class NetworkSpec:
         # where the gains are needed; the spec is frozen, so it never goes stale.
         # The distance and the power of (d_0 / d) are symmetric bit for bit,
         # so each unordered pair is computed once, in the order that raises
-        # for the same first coincident pair as the ordered loop.
+        # for the same first coincident pair as the ordered loop. The gains
+        # go into nested lists by node id and become an array in one call.
         n = self.n_nodes
-        g = np.zeros((n, n))
+        g = [[0.0] * n for _ in range(n)]
         for a, i in enumerate(self.nodes):
             for j in self.nodes[a + 1:]:
-                g[i.id - 1, j.id - 1] = g[j.id - 1, i.id - 1] = pathloss_gain(i, j, self.radio)
+                g[i.id - 1][j.id - 1] = g[j.id - 1][i.id - 1] = pathloss_gain(i, j, self.radio)
+        g = np.array(g)
         # No interferer sum at receiver j exceeds noise plus the power of every
         # transmitter but j; past the float range the SINR would be a wrong 0.
         senders = [k.id - 1 for k in self.nodes if k.role != Role.DESTINATION]
@@ -150,7 +152,7 @@ class NetworkSpec:
         return g
 
     def ids_with_role(self, role: Role) -> tuple[int, ...]:
-        return tuple(n.id for n in sorted(self.nodes, key=lambda n: n.id) if n.role == role)
+        return tuple(sorted(n.id for n in self.nodes if n.role == role))
 
     @cached_property
     def source_ids(self) -> tuple[int, ...]:
@@ -163,6 +165,22 @@ class NetworkSpec:
     @cached_property
     def destination_ids(self) -> tuple[int, ...]:
         return self.ids_with_role(Role.DESTINATION)
+
+    @cached_property
+    def relay_rows(self) -> np.ndarray:
+        """Read-only 0-based rows of ``relay_ids``."""
+        return _rows(self.relay_ids)
+
+    @cached_property
+    def source_rows(self) -> np.ndarray:
+        """Read-only 0-based rows of ``source_ids``."""
+        return _rows(self.source_ids)
+
+
+def _rows(ids: tuple[int, ...]) -> np.ndarray:
+    rows = np.array([i - 1 for i in ids], dtype=int)
+    rows.setflags(write=False)
+    return rows
 
 
 def zero_based(shape, **ids: int) -> tuple[int, ...]:
@@ -190,34 +208,47 @@ def read_object(document, name: str) -> dict:
     return document
 
 
-def _number(value, where: str) -> float:
-    # An int too large for a float becomes inf, for the caller's check to reject.
+def _number(value) -> float | None:
+    # None unless a JSON number (not a bool); an int too large for a float
+    # becomes inf, for the caller's check to reject.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where} must be a number")
+        return None
     try:
         return float(value)
     except OverflowError:
         return math.inf
 
 
-def require(doc: dict, key: str, kind, where: str):
+def _at(where) -> str:
+    # A document part: its name, or (list key, position) of a list entry,
+    # named only when a check fails.
+    return where if isinstance(where, str) else f"{where[0]}[{where[1]}]"
+
+
+def require(doc: dict, key: str, kind, where: str | tuple[str, int]):
     """``doc[key]`` checked against ``kind``: ``int`` is a JSON integer (not a
     bool or a float), ``float`` a finite JSON number (not a bool or a string),
-    any other type an ``isinstance`` check."""
+    any other type an ``isinstance`` check. ``where`` names ``doc`` in the
+    error: a string, or the (list key, position) that ``require_objects``
+    yields."""
     if key not in doc:
-        raise SchemaError(f"missing key '{key}' in {where}")
+        raise SchemaError(f"missing key '{key}' in {_at(where)}")
     value = doc[key]
     if kind is float:
-        value = _number(value, f"{where}.{key}")
-        if not math.isfinite(value):
-            raise SchemaError(f"{where}.{key} must be finite")
-        return value
+        if type(value) is float and math.isfinite(value):
+            return value
+        number = _number(value)
+        if number is None:
+            raise SchemaError(f"{_at(where)}.{key} must be a number")
+        if not math.isfinite(number):
+            raise SchemaError(f"{_at(where)}.{key} must be finite")
+        return number
     if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaError(f"{where}.{key} must be an integer")
-        return value
+        if type(value) is int or (isinstance(value, int) and not isinstance(value, bool)):
+            return value
+        raise SchemaError(f"{_at(where)}.{key} must be an integer")
     if not isinstance(value, kind):
-        raise SchemaError(f"{where}.{key} has the wrong type")
+        raise SchemaError(f"{_at(where)}.{key} has the wrong type")
     return value
 
 
@@ -227,37 +258,46 @@ def require_rows(doc: dict, key: str, where: str) -> list[list[float]]:
     rows = require(doc, key, list, where)
     if not all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows):
         raise SchemaError(f"{where}.{key} must be a list of equal-length lists")
-    return [[_number(v, f"{where}.{key} entry") for v in row] for row in rows]
+    out = [[v if type(v) is float else _number(v) for v in row] for row in rows]
+    if any(None in row for row in out):
+        raise SchemaError(f"{where}.{key} entry must be a number")
+    return out
 
 
 def require_objects(doc: dict, key: str):
     """Yield ``(where, entry)`` for each entry of the list ``doc[key]``, which
-    must be a JSON object."""
+    must be a JSON object; ``where`` is ``(key, position)``."""
     for k, entry in enumerate(require(doc, key, list, "document")):
         if not isinstance(entry, dict):
             raise SchemaError(f"{key}[{k}] must be an object")
-        yield f"{key}[{k}]", entry
+        yield (key, k), entry
 
 
 def sparse_entries(doc: dict, key: str, value: str, bounds: dict[str, int]):
     """Yield ``(*indices, value)`` for every object in the list ``doc[key]``:
     each index named in ``bounds`` must be a JSON integer in 1..bound and is
     yielded 0-based; the value must be a finite number. An index tuple may
-    appear only once."""
+    appear only once. Each entry is checked in full, index by index, then
+    for a repeat, then its value, before the next is read."""
     seen = set()
     for where, entry in require_objects(doc, key):
         indices = []
         for name, bound in bounds.items():
-            index = require(entry, name, int, where)
+            index = entry.get(name)
+            if type(index) is not int:  # require's checks and messages
+                index = require(entry, name, int, where)
             if not 1 <= index <= bound:
-                raise SchemaError(f"{where}.{name} must lie in 1..{bound}, got {index}")
+                raise SchemaError(f"{_at(where)}.{name} must lie in 1..{bound}, got {index}")
             indices.append(index - 1)
         key = tuple(indices)
         if key in seen:
             named = ", ".join(f"{name}={k + 1}" for name, k in zip(bounds, key))
-            raise SchemaError(f"{where} repeats the entry at {named}")
+            raise SchemaError(f"{_at(where)} repeats the entry at {named}")
         seen.add(key)
-        yield (*key, require(entry, value, float, where))
+        x = entry.get(value)
+        if type(x) is not float or not math.isfinite(x):
+            x = require(entry, value, float, where)
+        yield (*key, x)
 
 
 def load_network(document) -> NetworkSpec:
@@ -275,7 +315,7 @@ def load_network(document) -> NetworkSpec:
             role = Role(role)
         except ValueError:
             raise SchemaError(
-                f"{where}.role must be one of source/relay/destination, got {role!r}"
+                f"{_at(where)}.role must be one of source/relay/destination, got {role!r}"
             ) from None
         x = require(entry, "x", float, where)
         y = require(entry, "y", float, where)

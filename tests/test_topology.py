@@ -202,6 +202,38 @@ def test_gain_matrix_names_the_first_coincident_pair(positions):
     assert str(got.value) == str(want.value)
 
 
+def _out_of_id_order(spec, seed):
+    """``spec`` with its ``nodes`` tuple shuffled out of id order."""
+    rng = np.random.default_rng(seed)
+    while True:
+        nodes = tuple(spec.nodes[k] for k in rng.permutation(spec.n_nodes))
+        if [n.id for n in nodes] != sorted(n.id for n in nodes):
+            return NetworkSpec(nodes=nodes, radio=spec.radio, slot_count=spec.slot_count)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gain_matrix_of_nodes_out_of_id_order(seed):
+    # NetworkSpec does not sort its nodes: the gains are stored by node id.
+    rng = np.random.default_rng(seed)
+    roles = ["source"] + ["relay"] * 7 + ["destination"]
+    nodes = [(k + 1, role, *rng.uniform(-3, 3, 2)) for k, role in enumerate(roles)]
+    spec = _out_of_id_order(make_spec(nodes), seed)
+    assert np.array_equal(gain_matrix(spec), _ordered_gains(spec))
+    # A coincident pair is named as the loop over the nodes tuple meets it:
+    # (4, 1) when the tuple runs 4, 3, 2, 1.
+    positions = [(0, 0), (1, 1), (1, 1), (0, 0)]
+    in_order = make_spec([(k + 1, r, x, y) for k, (r, (x, y)) in enumerate(
+        zip(["source", "relay", "relay", "destination"], positions))])
+    for coincident in (_out_of_id_order(in_order, seed), NetworkSpec(
+            nodes=in_order.nodes[::-1], radio=in_order.radio, slot_count=2)):
+        with pytest.raises(TopologyError) as want:
+            _ordered_gains(coincident)
+        with pytest.raises(TopologyError) as got:
+            gain_matrix(coincident)
+        assert str(got.value) == str(want.value)
+    assert str(got.value) == "nodes 4 and 1 are coincident (distance 0)"
+
+
 def test_serialize_round_trip():
     spec = load_network(_doc(FOUR_NODES, slots=3))
     again = load_network(serialize_network(spec))
