@@ -169,7 +169,7 @@ def channel_probability_sampled(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     signal, int_gains, int_taus = _link(spec, tau, sender, receiver, slot)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = spawned_rng(seed)
 
     total = 0.0
     total_sq = 0.0
@@ -303,15 +303,22 @@ def channel_matrix(
         else:
             probs[snd, rcv, slot] = [channel_probability_sampled(
                 spec, tau, a + 1, b + 1, c + 1, SAMPLES,
-                seed=_link_seed(SAMPLE_SEED, a + 1, b + 1, c + 1))[0]
+                seed=spawned_seed(SAMPLE_SEED, a + 1, b + 1, c + 1))[0]
                 for a, b, c in zip(snd.tolist(), rcv.tolist(), slot.tolist())]
     for v in miss:
         cache[keys[v]] = probs[:, :, v].copy()
     return ChannelMatrix(n, slots, probs)
 
 
-def _link_seed(seed: int, i: int, j: int, u: int) -> int:
-    # Stable per-link seed so the sampled fallback is reproducible and
-    # independent of evaluation order.
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(i, j, u))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+def spawned_rng(seed: int, *key: int) -> np.random.Generator:
+    """A PCG64 generator on the seed sequence of ``seed`` spawned at
+    ``key``: draws keyed by a link, a tau or a block are reproducible and
+    independent of the order in which they are made."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def spawned_seed(seed: int, *key: int) -> int:
+    """The first 64-bit word of the seed sequence of ``seed`` spawned at
+    ``key``."""
+    sequence = np.random.SeedSequence(seed, spawn_key=key)
+    return int(sequence.generate_state(1, dtype=np.uint64)[0])

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelMatrix
+from .channel import ChannelMatrix, spawned_rng
 from .errors import (
     ClosedFormNotApplicableError,
     InconsistentForwardingError,
@@ -187,7 +187,8 @@ def solve_chain_closed_form(
     The unique solution is x = tau_j^v / (tau_i^u * p_ij^u * (1 - tau_j^v));
     with no active relay transmission it is the zero matrix. Raises when a
     constraint has several feeders (no closed form), none at all, or
-    demands x outside [0, 1].
+    demands x > 1 beyond what the coupling gate forgives (tau_j^v - coeff
+    > tolerance); a smaller excess is clipped to x = 1.
     """
     values = np.zeros((spec.n_nodes, spec.n_nodes, spec.slot_count, spec.slot_count))
     for j, v, t_out, terms in _constraints(tau, P):
@@ -202,7 +203,7 @@ def solve_chain_closed_form(
             )
         i, u, coeff = terms[0]
         x = t_out / coeff
-        if x > 1.0 + tolerance:
+        if t_out - coeff > tolerance:
             raise InfeasibleRateError(
                 f"(node {j + 1}, slot {v + 1}) needs forwarding probability "
                 f"{x:.6g} > 1; tau is too fast for the incoming flow"
@@ -249,9 +250,7 @@ def sample_feasible_forwarding(
 
     out = []
     for k in range(count):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-        )
+        rng = spawned_rng(seed, k)
         values = np.zeros(
             (spec.n_nodes, spec.n_nodes, spec.slot_count, spec.slot_count)
         )

@@ -24,7 +24,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .channel import ChannelMatrix
+from .channel import ChannelMatrix, spawned_rng
 from .forwarding import ForwardingMatrix
 from .rates import DEFAULT_TOLERANCE, RateMatrix
 from .steady_state import build_arrival_matrix, build_relaying_matrix, check_strategy
@@ -229,15 +229,15 @@ def _walk(rng, n: list, p: float, log_q: float, u: list) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _binomial_rows(rngs: list, starts: np.ndarray, n: np.ndarray, probs: list, u: np.ndarray):
-    """For each p of ``probs`` in turn, ``rng.binomial(n[s:e], p)`` on
-    each segment [s, e) of ``n`` that ``starts`` cut out (the first at 0),
-    with the segment's own generator of ``rngs``, at the trials with n > 0:
-    the same values, leaving every generator in the same state, from one
-    ``rng.random`` fill per p and segment of the caller's buffer ``u`` (at
-    least as long as ``n``). Returns the positions of those trials
-    (``slice(None)`` when every n is positive) and an iterator over the
-    rows of draws at them; a row of counts 0 and 1 comes as a bool array.
+def _scatter(rngs: list, starts: np.ndarray, n: np.ndarray, row, u: np.ndarray, first, to) -> None:
+    """Draws the binomials of ``row`` = (probs, n_first, rows) over the
+    counts ``n`` and adds them where they land: the first n_first rows of
+    draws to ``first``, each later one to ``to[b]`` for b in rows. For
+    each p in turn the draws are ``rng.binomial(n[s:e], p)`` on each
+    segment [s, e) of ``n`` that ``starts`` cut out (the first at 0), with
+    the segment's own generator of ``rngs``: the same values, leaving
+    every generator in the same state, from one ``rng.random`` fill per p
+    and segment of the caller's buffer ``u`` (at least as long as ``n``).
 
     numpy flips p > 0.5 to p' = 1 - p and returns n - X. While
     n * p' <= 30 it draws X by inversion (Kachitvichyanukul & Schmeiser,
@@ -247,54 +247,44 @@ def _binomial_rows(rngs: list, starts: np.ndarray, n: np.ndarray, probs: list, u
     takes another. A trial with n = 0 draws nothing. A trial with n = 1
     is one comparison with exp(log q); the few with n >= 2 go through
     ``_inversion``, one group of equal n at a time, and a segment where
-    some walk may pass its bound is walked one trial at a time. A segment
-    with n * p' > 30 somewhere is left to ``rng.binomial``, as is every
-    segment when numpy's log q is not known.
+    some walk may pass its bound is walked one trial at a time. A row
+    with n * p' > 30 somewhere, or every row when numpy's log q is not
+    known, is left to ``rng.binomial``, one segment at a time.
     """
+    probs, n_first, rows = row
     every = n.all()
-    pos = slice(None) if every else np.flatnonzero(n > 0)  # far faster on bools
-    n_pos = n if every else n[pos]
-    cuts = (starts if every else np.searchsorted(pos, starts)).tolist() + [n_pos.size]
-    segments = list(zip(rngs, cuts, cuts[1:]))
-    return pos, _draw_rows(segments, n_pos, probs, u[: n_pos.size])
-
-
-def _draw_rows(segments: list, n: np.ndarray, probs: list, u: np.ndarray):
-    """``_binomial_rows``' draws for counts ``n`` that are all positive,
-    on the buffer ``u`` of one uniform per count; ``segments`` holds
-    (generator, start, end) per consecutive segment of ``n``."""
-    n_max = int(n.max(initial=1))
+    at = slice(None) if every else np.flatnonzero(n > 0)  # far faster on bools
+    if not every:
+        n, starts = n[at], np.searchsorted(at, starts)
+    if not n.size:
+        return
+    cuts = [*starts.tolist(), n.size]
+    segments = [(rng, s, e) for rng, s, e in zip(rngs, cuts, cuts[1:]) if e > s]
+    u = u[: n.size]
+    n_max = int(n.max())
     groups = []
     if n_max > 1:
         multi = np.flatnonzero(n > 1)
         groups = [(k, multi[n[multi] == k]) for k in np.unique(n[multi]).tolist()]
     log_rule = _LOG_Q.get(_log_q())
-    for p in probs:
+    for p, dst in zip(probs, [first] * n_first + [to[b] for b in rows]):
+        if p == 0.0:  # nothing to draw
+            continue
         flip = p > 0.5
         pp = 1.0 - p if flip else p
-        if not n.size or p == 0.0:  # nothing to draw
-            yield np.zeros(n.size, dtype=np.int64)
-            continue
         if log_rule is None or pp * n_max > 30.0:
-            if len(segments) == 1:
-                yield segments[0][0].binomial(n, p)
-            else:  # each segment decides alone, as its own call would
-                yield np.concatenate([
-                    next(_draw_rows([(rng, 0, e - s)], n[s:e], [p], u[s:e]))
-                    for rng, s, e in segments
-                ])
+            dst[at] += np.concatenate([rng.binomial(n[s:e], p) for rng, s, e in segments])
             continue
         log_q = log_rule(pp)
         qn = math.exp(log_q)
         for rng, s, e in segments:
-            if e > s:
-                rng.random(out=u[s:e])
+            rng.random(out=u[s:e])
         passes = pp * qn / (1.0 - pp)  # an n = 1 walk from u passes its bound
         redraw = u.max() - qn > passes
         if groups:
             x = (u > qn).astype(np.int64)
-            for k, at in groups:
-                x[at] = _inversion(k, pp, log_q, u[at])
+            for k, of_k in groups:
+                x[of_k] = _inversion(k, pp, log_q, u[of_k])
             redraw = redraw or x[multi].min() < 0
         elif flip and not redraw:
             x, flip = u <= qn, False
@@ -302,22 +292,9 @@ def _draw_rows(segments: list, n: np.ndarray, probs: list, u: np.ndarray):
             x = u > qn
         if redraw:
             for rng, s, e in segments:
-                if e > s and (u[s:e].max() - qn > passes or x[s:e].min() < 0):
+                if u[s:e].max() - qn > passes or x[s:e].min() < 0:
                     x[s:e] = _walk(rng, n[s:e].tolist(), pp, log_q, u[s:e].tolist())
-        yield n - x if flip else x
-
-
-def _scatter(rngs: list, starts: np.ndarray, n: np.ndarray, row, u: np.ndarray, first, to) -> None:
-    """Draws the binomials of ``row`` = (probs, n_first, rows) over the
-    counts ``n`` with ``_binomial_rows`` and adds them where they land:
-    the first n_first rows of draws to ``first``, each later one to
-    ``to[b]`` for b in rows."""
-    probs, n_first, rows = row
-    at, drawn = _binomial_rows(rngs, starts, n, probs, u)
-    for _ in range(n_first):
-        first[at] += next(drawn)
-    for b, x in zip(rows, drawn):
-        to[b, at] += x
+        dst[at] += n - x if flip else x
 
 
 class _Pool:
@@ -471,9 +448,7 @@ def _work(blocks, seed: int, n: int, injections, Q, D, max_epochs: int):
     moments and the number of truncated trials."""
     pool = _Pool(injections, Q, D, min(n, BLOCK_SIZE), max_epochs)
     for b in blocks:
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
-        )
+        rng = spawned_rng(seed, b)
         block_n = min(BLOCK_SIZE, n - b * BLOCK_SIZE)
         live = pool.inject(rng, block_n)
         while pool.width + live.size > pool.capacity:

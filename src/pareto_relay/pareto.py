@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix, channel_matrix
+from .channel import ChannelMatrix, channel_matrix, spawned_seed
 from .errors import (
     ClosedFormNotApplicableError,
     InfeasibleError,
@@ -254,11 +254,6 @@ class SearchResult:
     channel_slices: int = 0
 
 
-def _tau_seed(seed: int, tau_idx: int) -> int:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(tau_idx,))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def _forwardings(
     tau: RateMatrix, P: ChannelMatrix, spec: NetworkSpec, x_samples: int,
     seed: int, tau_idx: int, tolerance: float,
@@ -271,7 +266,7 @@ def _forwardings(
         return [solve_chain_closed_form(tau, P, spec, tolerance)]
     except ClosedFormNotApplicableError:
         return sample_feasible_forwarding(
-            tau, P, spec, x_samples, _tau_seed(seed, tau_idx), tolerance
+            tau, P, spec, x_samples, spawned_seed(seed, tau_idx), tolerance
         )
 
 

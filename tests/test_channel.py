@@ -25,7 +25,7 @@ from pareto_relay import (
     solve_chain_closed_form,
 )
 from pareto_relay import RateGrid, channel, enumerate_rate_matrices, topology
-from pareto_relay.channel import _link_seed
+from pareto_relay.channel import spawned_seed
 from pareto_relay.errors import (
     ClosedFormNotApplicableError,
     EnumerationCapError,
@@ -510,7 +510,7 @@ def _channel_matrix_reference(tau, spec):
                 else:
                     p, _ = channel_probability_sampled(
                         spec, tau, i, j, u, channel.SAMPLES,
-                        seed=_link_seed(channel.SAMPLE_SEED, i, j, u),
+                        seed=spawned_seed(channel.SAMPLE_SEED, i, j, u),
                     )
                 probs[i - 1, j - 1, u - 1] = p
     return probs

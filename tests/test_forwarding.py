@@ -6,6 +6,7 @@ import pytest
 from pareto_relay import (
     ForwardingMatrix,
     consistency_residuals,
+    evaluate,
     sample_feasible_forwarding,
     solve_chain_closed_form,
 )
@@ -115,6 +116,28 @@ def test_closed_form_infeasible_rate():
         match=r"^\(node 2, slot 2\) needs forwarding probability 1\.33333 > 1;",
     ):
         solve_chain_closed_form(tau, P, spec)
+
+
+def test_closed_form_takes_the_coupling_gates_tolerance():
+    """x - 1 = 2.25e-9 is more than the tolerance, but the residual at
+    x = 1, tau_R - coeff = 7.5e-10, is within it: the closed form clips x
+    to 1, as the sampler does, and evaluate accepts it. A residual of
+    3e-9 is refused by both."""
+    spec, tau, P = chain_setup(tau_r=1 / 3 + 5e-10, p_sr=0.5)
+    X = solve_chain_closed_form(tau, P, spec)
+    assert X.x(1, 2, 1, 2) == 1.0
+    (sampled,) = sample_feasible_forwarding(tau, P, spec, count=1, seed=0)
+    assert np.array_equal(sampled.values, X.values)
+    assert consistency_residuals(X, tau, P).all_ok
+    evaluate(tau, X, spec, channel=P)
+
+    spec, tau, P = chain_setup(tau_r=1 / 3 + 2e-9, p_sr=0.5)
+    with pytest.raises(
+        InfeasibleRateError, match=r"^\(node 2, slot 2\) needs forwarding probability 1 > 1;"
+    ):
+        solve_chain_closed_form(tau, P, spec)
+    with pytest.raises(InfeasibleTauError, match=r"^relay 2 in slot 2 needs inflow"):
+        sample_feasible_forwarding(tau, P, spec, count=1, seed=0)
 
 
 def test_closed_form_starved_relay():

@@ -24,9 +24,9 @@ from pareto_relay import mc_oracle
 from pareto_relay.errors import FlowConservationError, InconsistentForwardingError
 from pareto_relay.mc_oracle import (
     CriterionEstimate,
-    _binomial_rows,
     _injections,
     _log_q,
+    _scatter,
 )
 from pareto_relay.steady_state import build_arrival_matrix, build_relaying_matrix
 
@@ -187,6 +187,30 @@ def test_thread_count_invariance(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert serial == parallel
+
+
+def test_unknown_numpy_log_rule_draws_through_numpy(monkeypatch):
+    """With numpy's log q rule unknown, every row is drawn by
+    ``Generator.binomial`` one run at a time. With 1000-trial blocks a
+    pool holds several runs; the estimate is the same at 1 and 2 threads
+    and equals the inversion path's, which mirrors numpy's draws (here
+    with trials holding two copies, which go through ``_inversion``)."""
+    spec, tau, P, X, _ = multi_fixture()
+    monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 1000)
+    inversions = []
+    inversion = mc_oracle._inversion
+    monkeypatch.setattr(
+        mc_oracle, "_inversion", lambda *a: inversions.append(a[0]) or inversion(*a)
+    )
+    config = SimConfig(n_packets=6000, seed=4)
+    inverted = simulate(tau, X, spec, config, channel=P)
+    assert inversions
+    inversions.clear()
+    monkeypatch.setattr(mc_oracle, "_log_q", lambda: None)
+    serial = simulate(tau, X, spec, config, channel=P)
+    parallel = simulate(tau, X, spec, SimConfig(n_packets=6000, seed=4, threads=2), channel=P)
+    assert serial == parallel == inverted
+    assert not inversions
 
 
 def test_ci_covers_analytic_single_relay():
@@ -590,23 +614,24 @@ def _numpy_threshold(n: int, p: float) -> float:
 
 
 def _assert_segments_match_numpy(ours, theirs, starts, n, probs):
-    """``_binomial_rows`` over the segments of ``n`` cut at ``starts``,
-    segment k drawn from ``ours[k]``, against one ``Generator.binomial``
-    call per p and segment on ``theirs[k]``."""
+    """``_scatter`` over the segments of ``n`` cut at ``starts``, segment
+    k drawn from ``ours[k]``, against one ``Generator.binomial`` call per
+    p and segment on ``theirs[k]``. The first p's draws go to ``first``,
+    the others to the rows of ``to`` in reverse order; both start at 7,
+    so the draws must be added."""
     n = np.asarray(n, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
     # a buffer longer than n, filled with junk, as a reused one would be
     u = np.full(n.size + 3, 2.0)
-    pos, drawn = _binomial_rows(ours, starts, n, probs, u)
-    got = []
-    for x in drawn:
-        x = np.asarray(x)
-        assert x.shape == n[pos].shape
-        # scattered back into a dense row: zero where n = 0
-        dense = np.zeros(n.size, dtype=np.int64)
-        dense[pos] = x
-        got.append(dense)
-    assert np.array_equal(np.arange(n.size)[pos], np.flatnonzero(n > 0))
+    n_first = min(1, len(probs))
+    rows = np.arange(len(probs) - n_first)[::-1]
+    first = np.full(n.size, 7, dtype=np.int64)
+    to = np.full((rows.size, n.size), 7, dtype=np.int64)
+    _scatter(ours, starts, n, (probs, n_first, rows), u, first, to)
+    got = [first - 7] * n_first + [to[b] - 7 for b in rows]
+    # zero where n = 0
+    for x in got:
+        assert not x[n == 0].any()
     cuts = [*starts.tolist(), n.size]
     want = [
         np.concatenate([rng.binomial(n[s:e], p) for rng, s, e in zip(theirs, cuts, cuts[1:])])
@@ -709,8 +734,9 @@ def test_segmented_rows_match_numpy(n, cuts, probs, seed):
     """Rows cut into consecutive segments, each with its own generator,
     as a pool's runs are: element for element each segment's draws of
     ``Generator.binomial(n[s:e], p)``, one call per p, and every
-    generator in the same state afterwards. Segments may be empty, and
-    each takes BTPE, inversion or a walk on its own."""
+    generator in the same state afterwards. Segments may be empty, and a
+    row that reaches BTPE in one segment (n * min(p, 1 - p) > 30) draws
+    every segment through ``Generator.binomial``."""
     starts = [0, *sorted(min(c, n.size) for c in cuts)]
     seeds = np.random.SeedSequence(seed).spawn(len(starts))
     _assert_segments_match_numpy(
@@ -721,10 +747,11 @@ def test_segmented_rows_match_numpy(n, cuts, probs, seed):
 
 
 def test_segmented_rows_decide_per_segment(monkeypatch):
-    """A segment with n * min(p, 1 - p) > 30 takes BTPE while its
-    neighbours draw by inversion, and only the middle segment whose
-    generator's first uniform is 1 - 2^-53 is walked one trial at a time,
-    at p < 0.5 and at p > 0.5 alike."""
+    """A row with n * min(p, 1 - p) > 30 in one segment is drawn by
+    ``Generator.binomial`` one segment at a time and matches numpy in
+    every segment. In a row drawn by inversion, only the middle segment,
+    whose generator's first uniform is 1 - 2^-53, is walked one trial at
+    a time, at p < 0.5 and at p > 0.5 alike."""
     def generators(middle):
         rngs = [np.random.default_rng(k) for k in range(3)]
         return [rngs[0], middle, rngs[1], rngs[2]]
