@@ -1,11 +1,11 @@
 """Command-line front end: evaluate, search, oracle.
 
 Exit codes: 0 success, 1 usage or runtime error, 2 infeasible input
-(rate/forwarding constraints violated or divergent flow system). Every
-file written is accompanied by a run manifest recording tool version,
-Python, numpy and scipy versions, input digests, seeds, flags, and wall
-time; numeric output carries 12 significant digits so reruns are
-byte-identical.
+(rate/forwarding constraints violated or divergent flow system). The
+result files of ``--output`` and ``--output-dir`` are accompanied by a run
+manifest recording tool version, Python, numpy and scipy versions, input
+digests, seeds, flags, and wall time; the ``--dump-channels`` file is not.
+Numeric output carries 12 significant digits so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -99,20 +99,6 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-def _resolve_threads(value) -> int:
-    if value is not None:
-        return max(1, int(value))
-    env = os.environ.get("PARETO_RELAY_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SchemaError(
-                f"PARETO_RELAY_THREADS must be an integer, got {env!r}"
-            ) from None
-    return os.cpu_count() or 1
-
-
 def _manifest(
     subcommand: str, args: argparse.Namespace, digests: dict[str, str], wall: float
 ) -> dict:
@@ -184,14 +170,13 @@ def cmd_oracle(args) -> int:
     started = time.perf_counter()
     digests = {}
     spec, tau, X, channel = _load_strategy(args, digests)
-    threads = _resolve_threads(args.threads)
     try:
         config = SimConfig(
             n_packets=args.packets,
             seed=args.seed,
             max_epochs=args.max_epochs,
             confidence=args.confidence,
-            threads=threads,
+            threads=(os.cpu_count() or 1) if args.threads is None else args.threads,
         )
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
@@ -283,9 +268,9 @@ def _build_parser() -> _Parser:
         "--threads",
         type=int,
         default=None,
-        help="oracle worker threads (default: PARETO_RELAY_THREADS or machine "
-        "count); search and evaluate start none, though their linear solve "
-        "wakes the BLAS thread pool (OPENBLAS_NUM_THREADS)",
+        help="oracle worker threads, at least 1 (default: the machine's CPU "
+        "count); search and evaluate ignore it and start none, though their "
+        "linear solve wakes the BLAS thread pool (OPENBLAS_NUM_THREADS)",
     )
     common.add_argument(
         "--tolerance",

@@ -202,13 +202,13 @@ def solve_chain_closed_form(
                 f"closed form needs exactly one"
             )
         i, u, coeff = terms[0]
-        x = t_out / coeff
         if t_out - coeff > tolerance:
             raise InfeasibleRateError(
-                f"(node {j + 1}, slot {v + 1}) needs forwarding probability "
-                f"{x:.6g} > 1; tau is too fast for the incoming flow"
+                f"(node {j + 1}, slot {v + 1}) needs forwarding probability > 1: "
+                f"residual {t_out - coeff:.3e} at x = 1 exceeds {tolerance:.1e}; "
+                f"tau is too fast for the incoming flow"
             )
-        values[i, j, u, v] = min(x, 1.0)
+        values[i, j, u, v] = min(t_out / coeff, 1.0)
     return ForwardingMatrix(values)
 
 

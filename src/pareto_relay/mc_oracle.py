@@ -27,7 +27,7 @@ import numpy as np
 from .channel import ChannelMatrix, spawned_rng
 from .forwarding import ForwardingMatrix
 from .rates import DEFAULT_TOLERANCE, RateMatrix
-from .steady_state import build_arrival_matrix, build_relaying_matrix, check_strategy
+from .steady_state import build_arrival_matrix, build_relaying_matrix, check_strategy, spawn_rows
 from .topology import NetworkSpec
 
 # Not called here; kept because bench/spans.py wraps them on this module.
@@ -125,21 +125,12 @@ def _injections(
     spec: NetworkSpec,
 ):
     """Per (source, slot) with a positive rate, in that order: transmission
-    rate, spawn probabilities p_Sj^u * (1 - tau_j^v) * x_Sj^{uv} per active
-    relay transmission (j, v) in ``tau.relay_coords`` order, and
-    direct-delivery probabilities per destination."""
-    j, v = tau.relay_coords
-    S = np.array(spec.source_ids)[:, None, None] - 1
-    u = np.arange(spec.slot_count)[:, None]
-    # Indexed (source, slot, column).
-    spawn = P.probs[S, j, u] * (1.0 - tau.rates[j, v]) * X.values[S, j, u, v]
-    direct = P.probs[S, np.array(spec.destination_ids) - 1, u]
-    return [
-        (t_src, spawn[k, w], direct[k, w])
-        for k, row in enumerate(tau.source_rates.tolist())
-        for w, t_src in enumerate(row)
-        if t_src != 0.0
-    ]
+    rate, ``spawn_rows`` row and direct-delivery probabilities per
+    destination."""
+    k, u = np.nonzero(tau.source_rates > 0.0)
+    S = spec.source_rows[k]
+    direct = P.probs[S[:, None], spec.destination_rows, u[:, None]]
+    return list(zip(tau.rates[S, u].tolist(), spawn_rows(X, tau, P, S, u), direct))
 
 
 def _row_draws(Q, D):

@@ -67,6 +67,18 @@ class CriteriaVector:
         return (self.f, self.f_c, self.f_d, self.f_e)
 
 
+def spawn_rows(
+    X: ForwardingMatrix, tau: RateMatrix, P: ChannelMatrix, i: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """p_ij^u * (1 - tau_j^v) * x_ij^{uv}, the probability that a copy sent
+    at (i, u) spawns one at (j, v): one row per sending transmission given
+    by the 0-based index arrays ``i`` and ``u``, one column per active
+    relay transmission (j, v) in ``tau.relay_coords`` order."""
+    j, v = tau.relay_coords
+    i, u = i[:, None], u[:, None]
+    return P.probs[i, j, u] * (1.0 - tau.rates[j, v]) * X.values[i, j, u, v]
+
+
 def build_relaying_matrix(
     X: ForwardingMatrix,
     tau: RateMatrix,
@@ -77,10 +89,7 @@ def build_relaying_matrix(
     i, u = tau.relay_coords
     # Rows (i, u) and columns (j, v) run over the same transmissions; the
     # channel's diagonal is 0, so Q is 0 on same-node pairs.
-    Q = (
-        P.probs[i[:, None], i, u[:, None]] * (1.0 - tau.rates[i, u])
-        * X.values[i[:, None], i, u[:, None], u]
-    )
+    Q = spawn_rows(X, tau, P, i, u)
     if Q.size and np.max(Q) >= 1.0:
         a, b = np.unravel_index(int(np.argmax(Q)), Q.shape)
         raise ModelViolationError(
@@ -99,7 +108,7 @@ def build_arrival_matrix(
     """D[(i,u),(d,w)] = p_id^u when w = u, else 0: a transmission reaches a
     destination only in its own slot."""
     i, u = tau.relay_coords
-    dests = np.array(spec.destination_ids) - 1
+    dests = spec.destination_rows
     D = np.zeros((len(i), len(dests), spec.slot_count))
     D[np.arange(len(i)), :, u] = P.probs[i[:, None], dests, u[:, None]]
     return D.reshape(len(i), len(dests) * spec.slot_count)
@@ -116,14 +125,12 @@ def build_initial_flow(
     Relay component (j,v): sum_u tau_S^u * p_Sj^u * (1 - tau_j^v) * x_Sj^{uv};
     direct component (d,u): tau_S^u * p_Sd^u.
     """
-    sources = np.array(spec.source_ids) - 1
     j, v = tau.relay_coords
-    S, u = sources[:, None], np.arange(spec.slot_count)[:, None, None]
+    S, u = spec.source_rows[:, None], np.arange(spec.slot_count)[:, None, None]
     # Axis 0 is the in-slot u; a cumulative sum adds the slots in order.
     relay = np.add.accumulate(coupling(tau, P, S, u, j, v) * X.values[S, j, u, v])[-1]
-    dests = np.array(spec.destination_ids) - 1
-    direct = tau.rates[S] * P.probs[S, dests]
-    return np.concatenate([relay, direct.reshape(len(sources), -1)], axis=1)
+    direct = tau.rates[S] * P.probs[S, spec.destination_rows]
+    return np.concatenate([relay, direct.reshape(len(S), -1)], axis=1)
 
 
 def spectral_radius(Q: np.ndarray) -> float:
@@ -142,8 +149,9 @@ def fundamental_matrix(Q: np.ndarray) -> np.ndarray:
     explicit convergence guard: the series behind M_F only makes sense when
     rho(Q) < 1.
 
-    Entries < 1 alone do not guarantee convergence (row sums may exceed 1),
-    so the spectral radius is always checked. A non-finite Q or a
+    Entries < 1 alone do not guarantee convergence (row sums may exceed 1).
+    The largest absolute row sum bounds rho(Q); the eigenvalues are computed
+    only when it reaches 1 - ``SPECTRAL_MARGIN``. A non-finite Q or a
     numerically singular I - Q raises :class:`NumericalError`.
     """
     Q = np.asarray(Q, dtype=float)
@@ -215,14 +223,10 @@ def _cut_set_guard(
     # can be proven to stay under the source-side cut 1-(1-p_SD)(1-p_SR).
     # Outside that regime duplicate copies can push f above the cut, so no
     # check applies.
-    if (
-        len(spec.source_ids) != 1
-        or len(spec.relay_ids) != 1
-        or len(spec.destination_ids) != 1
-    ):
+    roles = spec.source_rows, spec.relay_rows, spec.destination_rows
+    if any(len(rows) != 1 for rows in roles):
         return
-    (s,), (r,) = tau.source_rows.tolist(), tau.relay_rows.tolist()
-    d = 3 - s - r  # the nodes are rows 0, 1 and 2
+    (s,), (r,), (d,) = (rows.tolist() for rows in roles)
     src_slots = np.flatnonzero(tau.rates[s] > 0.0).tolist()
     rel_slots = np.flatnonzero(tau.rates[r] > 0.0).tolist()
     if len(src_slots) != 1 or len(rel_slots) > 1 or rel_slots == src_slots:

@@ -176,6 +176,11 @@ class NetworkSpec:
         """Read-only 0-based rows of ``source_ids``."""
         return _rows(self.source_ids)
 
+    @cached_property
+    def destination_rows(self) -> np.ndarray:
+        """Read-only 0-based rows of ``destination_ids``."""
+        return _rows(self.destination_ids)
+
 
 def _rows(ids: tuple[int, ...]) -> np.ndarray:
     rows = np.array([i - 1 for i in ids], dtype=int)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -446,23 +447,24 @@ def test_version_flag(capsys):
     assert "pareto-relay" in capsys.readouterr().out
 
 
-def test_threads_env_variable(workspace, capsys, monkeypatch):
-    monkeypatch.setenv("PARETO_RELAY_THREADS", "2")
-    assert main(oracle_args(workspace)) == 0
-    with_env = capsys.readouterr().out
-    monkeypatch.delenv("PARETO_RELAY_THREADS")
+def test_threads_flag(workspace, capsys, monkeypatch):
     assert main(oracle_args(workspace, "--threads", "1")) == 0
-    assert capsys.readouterr().out == with_env
-    # a thread count below 1 runs on one thread, which SimConfig would refuse
-    for threads in ("0", "-3"):
-        assert main(oracle_args(workspace, "--threads", threads)) == 0
-        assert capsys.readouterr().out == with_env
-    monkeypatch.setenv("PARETO_RELAY_THREADS", "0")
-    assert main(oracle_args(workspace)) == 0
-    assert capsys.readouterr().out == with_env
+    one = capsys.readouterr().out
+    # the default is the machine's CPU count, or 1 when it is unknown; the
+    # environment does not set it
     monkeypatch.setenv("PARETO_RELAY_THREADS", "banana")
-    assert main(oracle_args(workspace)) == 1
-    assert "PARETO_RELAY_THREADS" in capsys.readouterr().err
+    for cpus in (None, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert main(oracle_args(workspace)) == 0
+        assert capsys.readouterr().out == one
+    assert main(oracle_args(workspace, "--threads", "2")) == 0
+    assert capsys.readouterr().out == one
+    # a count below 1 reaches SimConfig's check, as a negative seed does
+    for threads in ("0", "-3"):
+        assert main(oracle_args(workspace, "--threads", threads)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: threads must be >= 1\n"
 
 
 def test_malformed_json_input_exits_1(workspace, capsys):

@@ -113,7 +113,8 @@ def test_closed_form_infeasible_rate():
     spec, tau, P = chain_setup(tau_r=0.4, p_sr=0.5)
     with pytest.raises(
         InfeasibleRateError,
-        match=r"^\(node 2, slot 2\) needs forwarding probability 1\.33333 > 1;",
+        match=r"^\(node 2, slot 2\) needs forwarding probability > 1: residual "
+        r"1\.000e-01 at x = 1 exceeds 1\.0e-09;",
     ):
         solve_chain_closed_form(tau, P, spec)
 
@@ -133,7 +134,9 @@ def test_closed_form_takes_the_coupling_gates_tolerance():
 
     spec, tau, P = chain_setup(tau_r=1 / 3 + 2e-9, p_sr=0.5)
     with pytest.raises(
-        InfeasibleRateError, match=r"^\(node 2, slot 2\) needs forwarding probability 1 > 1;"
+        InfeasibleRateError,
+        match=r"^\(node 2, slot 2\) needs forwarding probability > 1: residual "
+        r"3\.000e-09 at x = 1 exceeds 1\.0e-09;",
     ):
         solve_chain_closed_form(tau, P, spec)
     with pytest.raises(InfeasibleTauError, match=r"^relay 2 in slot 2 needs inflow"):

@@ -458,10 +458,20 @@ def test_evaluate_detects_divergent_cascade():
 
 def test_cut_set_guard_regimes():
     spec, tau, P, _ = single_relay_setup(tau_r=0.2, p_sr=0.4, p_sd=0.3, p_rd=0.5)
-    # inside the provable regime the bound is 1 - (1-p_SD)(1-p_SR) = 0.58
-    _cut_set_guard(tau, P, spec, f=0.5, tol=1e-9)  # fine
-    with pytest.raises(NumericalError):
-        _cut_set_guard(tau, P, spec, f=0.99, tol=1e-9)
+    # the same network with its roles in the id order destination, relay, source
+    permuted = make_spec([(1, "destination", 2, 0), (2, "relay", 1, 0), (3, "source", 0, 0)])
+    for spec, tau, P in (
+        (spec, tau, P),
+        (
+            permuted,
+            rate_matrix(permuted, [[0.0, 0.2]], [[1.0, 0.0]]),
+            injected_channel(3, 2, {(3, 2, 1): 0.4, (3, 1, 1): 0.3, (2, 1, 2): 0.5}),
+        ),
+    ):
+        # inside the provable regime the bound is 1 - (1-p_SD)(1-p_SR) = 0.58
+        _cut_set_guard(tau, P, spec, f=0.579, tol=1e-9)  # fine
+        with pytest.raises(NumericalError):
+            _cut_set_guard(tau, P, spec, f=0.581, tol=1e-9)
     # with p_SD + p_RD > 1 duplicates legitimately beat the cut: no check
     spec2, tau2, P2, _ = single_relay_setup(
         tau_r=0.04, p_sr=0.05, p_sd=0.9, p_rd=1.0

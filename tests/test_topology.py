@@ -219,6 +219,9 @@ def test_gain_matrix_of_nodes_out_of_id_order(seed):
     nodes = [(k + 1, role, *rng.uniform(-3, 3, 2)) for k, role in enumerate(roles)]
     spec = _out_of_id_order(make_spec(nodes), seed)
     assert np.array_equal(gain_matrix(spec), _ordered_gains(spec))
+    for role in ("source", "relay", "destination"):
+        rows = getattr(spec, f"{role}_rows")
+        assert rows.tolist() == sorted(n.id - 1 for n in spec.nodes if n.role == role)
     # A coincident pair is named as the loop over the nodes tuple meets it:
     # (4, 1) when the tuple runs 4, 3, 2, 1.
     positions = [(0, 0), (1, 1), (1, 1), (0, 0)]
