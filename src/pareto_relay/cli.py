@@ -67,12 +67,26 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(_round_floats(payload), indent=2) + "\n"
 
 
+# The flags of open(path, "rb") and open(path, "wb"): files are read and
+# written whole through raw descriptors, without buffered-io objects.
+_OPEN_FLAGS = os.O_CLOEXEC | getattr(os, "O_BINARY", 0)
+_READ_FLAGS = os.O_RDONLY | _OPEN_FLAGS
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _OPEN_FLAGS
+
+
 def _read(path, digests: dict[str, str]) -> bytes:
     """The bytes of an input file, read once; their sha256 goes into
     ``digests`` under the path, so a manifest names the content the run
     parsed even when the file changes while the run goes on."""
-    data = Path(path).read_bytes()
-    digests[str(Path(path))] = hashlib.sha256(data).hexdigest()
+    name = str(Path(path))
+    fd = os.open(name, _READ_FLAGS)
+    try:
+        data = b"".join(iter(functools.partial(os.read, fd, 1 << 16), b""))
+    except IsADirectoryError as exc:  # open() names the path; a bare read does not
+        raise IsADirectoryError(exc.errno, exc.strerror, name) from None
+    finally:
+        os.close(fd)
+    digests[name] = hashlib.sha256(data).hexdigest()
     return data
 
 
@@ -126,9 +140,16 @@ def _manifest(
 
 
 def _write(path, text: str) -> None:
-    """Write ``text`` (ASCII JSON or CSV) to ``path`` in one buffered binary
-    write, truncating an existing file."""
-    Path(path).write_bytes(text.encode())
+    """Write ``text`` (ASCII JSON or CSV) to ``path`` in one unbuffered
+    write, truncating an existing file; a new file gets mode 0o666 less the
+    umask."""
+    data = text.encode()
+    fd = os.open(Path(path), _WRITE_FLAGS, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def _write_manifest(path: Path, manifest: dict) -> None:

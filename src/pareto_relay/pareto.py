@@ -294,6 +294,7 @@ def exhaustive_search(
     if x_samples_per_tau < 1:
         raise SchemaError("x_samples_per_tau must be >= 1")
     result = SearchResult(archive=ParetoArchive(senses))
+    prune = thresholds not in (None, PruneThresholds())  # unset fields never prune
     slot_cache: dict = {}
     taus = enumerate_rate_matrices(grid, spec, n_max, source_rates=source_rates)
     for tau_idx, tau in enumerate(taus):
@@ -304,7 +305,7 @@ def exhaustive_search(
         except InfeasibleError:
             result.n_infeasible += 1
             continue
-        if not prune_tau(tau, P, thresholds).keep:
+        if prune and not prune_tau(tau, P, thresholds).keep:
             result.n_pruned += 1
             continue
         try:

@@ -150,9 +150,12 @@ def fundamental_matrix(Q: np.ndarray) -> np.ndarray:
     rho(Q) < 1.
 
     Entries < 1 alone do not guarantee convergence (row sums may exceed 1).
-    The largest absolute row sum bounds rho(Q); the eigenvalues are computed
-    only when it reaches 1 - ``SPECTRAL_MARGIN``. A non-finite Q or a
-    numerically singular I - Q raises :class:`NumericalError`.
+    The largest absolute row sum bounds rho(Q); past 1 - ``SPECTRAL_MARGIN``
+    the solve certifies it: for Q >= 0 and finite w = M_F 1 > 0, rho(Q) <=
+    max_i (Q w)_i / w_i (Collatz-Wielandt), and only when that ratio is not
+    below 1 - 2 ``SPECTRAL_MARGIN`` (2 covers the rounding of Q w) are the
+    eigenvalues computed. A non-finite Q or a numerically singular I - Q
+    raises :class:`NumericalError`.
     """
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
@@ -160,18 +163,30 @@ def fundamental_matrix(Q: np.ndarray) -> np.ndarray:
         return np.zeros((0, 0))
     if not np.isfinite(Q).all():
         raise NumericalError("the relaying matrix has a non-finite entry")
+    lu, piv, _ = _GETRF(np.eye(n) - Q)
+    singular = np.min(np.abs(np.diag(lu))) < 1e-14
+    M_F = None if singular else _GETRS(lu, piv, np.eye(n))[0]
     rho_bound = float(np.max(np.abs(Q).sum(axis=1)))
-    if rho_bound >= 1.0 - SPECTRAL_MARGIN:
+    if rho_bound >= 1.0 - SPECTRAL_MARGIN and not _certifies(Q, M_F):
         rho = spectral_radius(Q)
         if rho >= 1.0 - SPECTRAL_MARGIN:
             raise DivergentSystemError(
                 f"spectral radius {rho:.6g} of the relaying matrix is not "
                 f"safely below 1; the flow cascade does not die out"
             )
-    lu, piv, _ = _GETRF(np.eye(n) - Q)
-    if np.min(np.abs(np.diag(lu))) < 1e-14:
+    if singular:
         raise NumericalError("I - Q is numerically singular")
-    return _GETRS(lu, piv, np.eye(n))[0]
+    return M_F
+
+
+def _certifies(Q: np.ndarray, M_F: np.ndarray | None) -> bool:
+    """Whether M_F's row sums w prove rho(Q) < 1 - 2 * SPECTRAL_MARGIN; an
+    overflow of w or Q w fails the test through inf or NaN."""
+    if M_F is None or not np.isfinite(M_F).all() or np.min(Q) < 0.0:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = M_F.sum(axis=1)
+        return np.min(w) > 0.0 and np.max(Q @ w / w) < 1.0 - 2.0 * SPECTRAL_MARGIN
 
 
 def delay_identity_gap(Q: np.ndarray, M_F: np.ndarray) -> float:

@@ -467,6 +467,115 @@ def test_threads_flag(workspace, capsys, monkeypatch):
         assert captured.err == "error: threads must be >= 1\n"
 
 
+_STRERROR = {2: "No such file or directory", 20: "Not a directory", 21: "Is a directory"}
+
+_FILE_ERROR_CASES = [
+    (subcommand, case)
+    for subcommand in ("evaluate", "oracle", "search")
+    for case in (
+        "missing input", "directory input", "output below a file",
+        "output is a directory",
+    )
+] + [
+    ("evaluate", "output in a missing directory"),
+    ("oracle", "output in a missing directory"),
+    ("evaluate", "dump in a missing directory"),
+    ("oracle", "dump in a missing directory"),
+    ("search", "missing sources"),
+]
+
+
+def _file_error_case(ws, subcommand, case):
+    """argv of ``subcommand`` that fails on one file, and the errno and path
+    its error line names."""
+    d = ws["dir"]
+    (d / "taken").mkdir()
+    if subcommand == "search":
+        argv, out_flag = search_args(ws, d / "front"), "--output-dir"
+    else:
+        args = eval_args if subcommand == "evaluate" else oracle_args
+        argv, out_flag = args(ws, "--output", str(d / "out.json")), "--output"
+
+    def put(flag, value):
+        argv[argv.index(flag) + 1] = str(value)
+
+    if case == "missing input":
+        # the line names the path as pathlib spells it
+        put("--topology", f"{d}//absent.json")
+        return argv, 2, d / "absent.json"
+    if case == "directory input":
+        put("--topology", d / "taken")
+        return argv, 21, d / "taken"
+    if case == "missing sources":
+        argv += ["--sources", str(d / "absent.json")]
+        return argv, 2, d / "absent.json"
+    if case == "output below a file":
+        put(out_flag, ws["topology"] / "out")
+        return argv, 20, ws["topology"] / "out"
+    if case == "output is a directory":
+        if subcommand == "search":
+            (d / "front" / "front.csv").mkdir(parents=True)
+            return argv, 21, d / "front" / "front.csv"
+        put(out_flag, d / "taken")
+        return argv, 21, d / "taken"
+    if case == "output in a missing directory":
+        put(out_flag, d / "absent" / "out.json")
+        return argv, 2, d / "absent" / "out.json"
+    assert case == "dump in a missing directory"
+    argv += ["--dump-channels", str(d / "absent" / "channels.json")]
+    return argv, 2, d / "absent" / "channels.json"
+
+
+@pytest.mark.parametrize("subcommand,case", _FILE_ERROR_CASES)
+def test_file_errors_are_one_pinned_line(workspace, capsys, subcommand, case):
+    argv, errno, path = _file_error_case(workspace, subcommand, case)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno}] {_STRERROR[errno]}: '{path}'\n"
+    )
+
+
+def test_outputs_replace_longer_files_whole(workspace, capsys):
+    d = workspace["dir"]
+    out, dump = d / "out.json", d / "channels.json"
+    manifest = d / "out.json.manifest.json"
+    front = d / "front"
+    fresh = d / "fresh"
+    front.mkdir()
+    stale = [out, dump, manifest, front / "front.csv", front / "manifest.json"]
+    for path in stale:
+        path.write_bytes(b"\x00" * 100_000)
+    assert main(eval_args(workspace, "--output", str(out), "--dump-channels", str(dump))) == 0
+    assert out.read_text() == capsys.readouterr().out
+    json.loads(dump.read_text())
+    json.loads(manifest.read_text())
+    assert main(search_args(workspace, front)) == 0
+    assert main(search_args(workspace, fresh)) == 0
+    capsys.readouterr()
+    assert (front / "front.csv").read_bytes() == (fresh / "front.csv").read_bytes()
+    json.loads((front / "manifest.json").read_text())
+
+
+def test_new_outputs_take_the_umask(workspace, capsys):
+    d = workspace["dir"]
+    previous = os.umask(0o027)
+    try:
+        assert main(eval_args(
+            workspace, "--output", str(d / "out.json"),
+            "--dump-channels", str(d / "channels.json"),
+        )) == 0
+        assert main(search_args(workspace, d / "front")) == 0
+    finally:
+        os.umask(previous)
+    capsys.readouterr()
+    written = [
+        d / "out.json", d / "out.json.manifest.json", d / "channels.json",
+        *(d / "front").iterdir(),
+    ]
+    assert len(written) > 5
+    assert {p.stat().st_mode & 0o777 for p in written} == {0o666 & ~0o027}
+
+
 def test_malformed_json_input_exits_1(workspace, capsys):
     broken = workspace["dir"] / "broken.json"
     broken.write_text("{not json")

@@ -353,6 +353,42 @@ def test_search_slack_thresholds_do_not_change_front(three_node):
     ]
 
 
+def test_search_prunes_only_when_a_threshold_is_set(three_node, monkeypatch):
+    import pareto_relay.pareto as pareto
+
+    calls = {"prune": 0, "gated": 0}
+    prune, gate = pareto.prune_tau, pareto.check_strategy
+
+    def spy_prune(*args):
+        calls["prune"] += 1
+        return prune(*args)
+
+    def spy_gate(*args, **kwargs):
+        P = gate(*args, **kwargs)
+        calls["gated"] += 1
+        return P
+
+    monkeypatch.setattr(pareto, "prune_tau", spy_prune)
+    monkeypatch.setattr(pareto, "check_strategy", spy_gate)
+    grid = RateGrid.parse("0,0.25,0.5")
+    fronts = {}
+    for thresholds in (
+        None, PruneThresholds(), PruneThresholds(min_robustness=0.0),
+        PruneThresholds(max_energy=10.0),
+    ):
+        calls.update(prune=0, gated=0)
+        result = exhaustive_search(
+            three_node, grid, n_max=1, x_samples_per_tau=3, seed=0,
+            thresholds=thresholds,
+        )
+        unset = thresholds is None or thresholds == PruneThresholds()
+        assert calls["gated"] > 0
+        assert calls["prune"] == (0 if unset else calls["gated"])
+        assert result.n_pruned == 0
+        fronts[thresholds] = [(s.solution_id, s.criteria) for s in result.archive]
+    assert len(set(map(tuple, fronts.values()))) == 1
+
+
 def test_search_energy_threshold_prunes_all_relaying(three_node):
     grid = RateGrid.parse("0,0.25,0.5")
     result = exhaustive_search(

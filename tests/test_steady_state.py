@@ -222,6 +222,157 @@ def test_fundamental_matrix_matches_scipy_lu_bit_for_bit():
         assert np.array_equal(got, want) and got.strides == want.strides
 
 
+def _fundamental_matrix_by_eigenvalues(Q):
+    """The guard before the solve certified convergence: the eigenvalues
+    whenever the largest row sum reaches 1 - SPECTRAL_MARGIN, then the
+    factorization."""
+    n = Q.shape[0]
+    if not np.isfinite(Q).all():
+        raise NumericalError("the relaying matrix has a non-finite entry")
+    if float(np.max(np.abs(Q).sum(axis=1))) >= 1.0 - 1e-6:
+        rho = float(np.max(np.abs(np.linalg.eigvals(Q))))
+        if rho >= 1.0 - 1e-6:
+            raise DivergentSystemError(
+                f"spectral radius {rho:.6g} of the relaying matrix is not "
+                f"safely below 1; the flow cascade does not die out"
+            )
+    lu, piv = lu_factor(np.eye(n) - Q, check_finite=False)
+    if np.min(np.abs(np.diag(lu))) < 1e-14:
+        raise NumericalError("I - Q is numerically singular")
+    return lu_solve((lu, piv), np.eye(n), check_finite=False)
+
+
+def _same_outcome(Q):
+    """fundamental_matrix(Q) raises what the eigenvalue guard raises, with
+    the same message, or returns its M_F bit for bit; no warning either way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            want = _fundamental_matrix_by_eigenvalues(Q)
+        except (DivergentSystemError, NumericalError) as exc:
+            with pytest.raises(type(exc)) as got:
+                fundamental_matrix(Q)
+            assert str(got.value) == str(exc)
+            return exc
+        got = fundamental_matrix(Q)
+    assert np.array_equal(got, want) and got.strides == want.strides
+    return got
+
+
+@st.composite
+def _scaled_q(draw):
+    """A non-negative Q of order 1 to 8 scaled to a drawn spectral radius in
+    about 0.3-1.5, near 1 within 2e-6, or exactly 1 with dyadic row sums
+    (I - Q exactly singular); some are reducible and some nilpotent, and
+    most have a row sum past 1."""
+    n = draw(st.integers(1, 8))
+    if draw(st.integers(0, 5)) == 0:
+        # each row splits 1 into eighths, so I - Q is exactly singular
+        cuts = np.sort(draw(hnp.arrays(np.int64, (n, 7), elements=st.integers(0, 8))), axis=1)
+        eighths = np.diff(cuts, axis=1, prepend=0, append=8) / 8.0
+        Q = np.zeros((n, n))
+        for c in range(8):
+            Q[:, c % n] += eighths[:, c]
+        return Q
+    # fill=nothing draws every element, not one fill value and a few others
+    B = draw(hnp.arrays(float, (n, n), elements=st.floats(0.0, 1.0), fill=st.nothing()))
+    B *= draw(hnp.arrays(bool, (n, n), fill=st.nothing()))
+    k = draw(st.integers(0, n))
+    if draw(st.booleans()):
+        B[k:, :k] = 0.0  # reducible: the last rows never reach the first
+    # a diagonal similarity keeps rho and spreads the row sums around it
+    d = draw(hnp.arrays(float, n, elements=st.floats(0.2, 5.0), fill=st.nothing()))
+    B = B * d[:, None] / d[None, :]
+    rho = float(np.max(np.abs(np.linalg.eigvals(B))))
+    if rho < 1e-3:
+        return B * draw(st.sampled_from([1.0, 3.0]))  # (nearly) nilpotent
+    target = draw(st.one_of(
+        st.floats(0.3, 1.5),
+        st.floats(1.0 - 2e-6, 1.0 + 1e-6),
+        st.sampled_from([1.0 - 2e-6, 1.0 - 1.5e-6, 1.0 - 1e-6, 1.0]),
+    ))
+    return B * (target / rho)
+
+
+@settings(max_examples=400, deadline=None)
+@given(Q=_scaled_q())
+def test_certificate_agrees_with_the_eigenvalue_guard(Q):
+    _same_outcome(Q)
+
+
+def test_fundamental_matrix_falls_back_to_eigenvalues_near_the_margin(monkeypatch):
+    import pareto_relay.steady_state as steady_state
+
+    radii = []
+
+    def spy(Q):
+        radii.append(spectral_radius(Q))
+        return radii[-1]
+
+    monkeypatch.setattr(steady_state, "spectral_radius", spy)
+    # rho in (1 - 2e-6, 1 - 1e-6) with a row sum past 1: the solve cannot
+    # certify it, the eigenvalues can (at 1 - 2e-6 itself the ratio sits on
+    # its threshold)
+    for rho in (1.0 - 1.99e-6, 1.0 - 1.5e-6, 1.0 - 1.01e-6):
+        Q = np.array([[0.0, 1.5 * rho], [rho / 1.5, 0.0]])
+        assert isinstance(_same_outcome(Q), np.ndarray)
+        assert len(radii) == 1 and radii.pop() < 1.0 - 1e-6
+    # a row sum past 1 with rho well below it is certified by the solve
+    Q = np.array([[0.0, 1.2, 0.0], [0.0, 0.0, 1.5], [0.3, 0.0, 0.0]])
+    assert isinstance(_same_outcome(Q), np.ndarray)
+    assert radii == []
+    with pytest.raises(DivergentSystemError):
+        fundamental_matrix(np.array([[0.0, 1.5], [(1.0 - 1e-6) ** 2 / 1.5, 0.0]]))
+    assert len(radii) == 1
+
+
+def test_solve_certifies_every_wide_benchmark_strategy(tmp_path, capsys, monkeypatch):
+    # The 40 strategies that bench/run.py's evaluate-wide workload scores at
+    # seed 0, built by its own input generators: no Q needs the eigenvalues,
+    # every M_F is the eigenvalue guard's bit for bit, and the first ten
+    # outputs hash to the digest the benchmark pins.
+    import hashlib
+    import importlib.util
+    import json
+    from pathlib import Path
+
+    import pareto_relay
+    import pareto_relay.steady_state as steady_state
+    from pareto_relay.cli import main
+
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    pinned = json.loads((bench / "digests.json").read_text())["full"]["evaluate-wide"]
+
+    solve = steady_state.fundamental_matrix
+    solved = []
+
+    def checked_solve(Q):
+        solved.append(Q.shape[0])
+        assert not isinstance(_same_outcome(Q), Exception)
+        return solve(Q)
+
+    def no_eigenvalues(Q):
+        raise AssertionError("spectral_radius ran")
+
+    monkeypatch.setattr(steady_state, "fundamental_matrix", checked_solve)
+    monkeypatch.setattr(steady_state, "spectral_radius", no_eigenvalues)
+    doc = workloads.topology_doc(workloads.wide_nodes(0, 12), workloads.WIDE_SLOTS)
+    topology = workloads.write_json(tmp_path / "topo.json", doc)
+    network = pareto_relay.load_network(doc)
+    texts = []
+    for k in range(40):
+        docs = workloads.wide_strategy(pareto_relay, network, 0, k)
+        tau, x = workloads.write_strategy(tmp_path, f"s{k}", docs)
+        argv = ["evaluate", "--topology", str(topology), "--tau", str(tau), "--x", str(x)]
+        assert main(argv) == 0
+        texts.append(capsys.readouterr().out)
+    assert len(solved) >= 80 and min(solved) > 0  # the generator's and the CLI's
+    assert hashlib.sha256("".join(texts[:10]).encode()).hexdigest() == pinned
+
+
 def test_spectral_radius_against_eig_oracle():
     rng = np.random.default_rng(7)
     for _ in range(25):
