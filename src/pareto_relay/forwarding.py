@@ -7,11 +7,13 @@ much flow: summed over senders i and in-slots u,
 
 The x entries are free parameters in [0, 1] otherwise, so the feasible set
 per active relay transmission is a simplex slice. This module checks the
-constraints, solves them in closed form when each has a single feeder term,
-and samples the general polytope by rejection: each constraint draws its 200
-candidate points in one batch and takes the first one inside the box; a
-constraint whose draws are all rejected falls back to its proportional
-point, so the samples are not uniform on such a constraint.
+constraints and builds X from one table of them, which refuses a tau that
+admits no X. The table's proportional point is the closed form when each
+constraint has a single feeder term; otherwise the sampler draws the
+polytope by rejection: each constraint draws its 200 candidate points in one
+batch and takes the first one inside the box; a constraint whose draws are
+all rejected keeps its proportional point, so the samples are not uniform on
+such a constraint.
 """
 
 from __future__ import annotations
@@ -116,21 +118,46 @@ def coupling(tau: RateMatrix, P: ChannelMatrix, i, u, j, v) -> np.ndarray:
 
 
 def _constraints(
-    tau: RateMatrix, P: ChannelMatrix
-) -> list[tuple[int, int, float, list[tuple[int, int, float]]]]:
-    # (j, v, tau_j^v, terms) per active relay transmission, in relay_coords
-    # order; terms holds (i, u, coefficient) per active transmission (i, u)
-    # with a positive coefficient. All indices are 0-based.
+    tau: RateMatrix, P: ChannelMatrix, tolerance: float
+) -> list[tuple[int, int, float, list[tuple[int, int, float]], float]]:
+    # (j, v, tau_j^v, terms, total) per active relay transmission, in
+    # relay_coords order; terms holds (i, u, coefficient) per active
+    # transmission (i, u) with a positive coefficient, total their sum. All
+    # indices are 0-based. Refuses a relay with no feeder, or one whose
+    # residual at x = 1 exceeds what the coupling gate forgives.
     i, u = tau.active_coords
     j, v = tau.relay_coords
     senders = list(zip(i.tolist(), u.tolist()))
     columns = coupling(tau, P, i[:, None], u[:, None], j, v).T.tolist()
-    return [
-        (jk, vk, t_out, [(a, b, c) for (a, b), c in zip(senders, column) if c > 0.0])
-        for jk, vk, t_out, column in zip(
-            j.tolist(), v.tolist(), tau.rates[j, v].tolist(), columns
-        )
-    ]
+    table = []
+    for jk, vk, t_out, column in zip(
+        j.tolist(), v.tolist(), tau.rates[j, v].tolist(), columns
+    ):
+        terms = [(a, b, c) for (a, b), c in zip(senders, column) if c > 0.0]
+        if not terms:
+            raise InfeasibleTauError(
+                f"relay {jk + 1} transmits in slot {vk + 1} but receives no flow"
+            )
+        total = sum(c for _, _, c in terms)
+        if t_out - total > tolerance:
+            raise InfeasibleRateError(
+                f"(node {jk + 1}, slot {vk + 1}) needs forwarding probability > 1: "
+                f"residual {t_out - total:.3e} at x = 1 exceeds {tolerance:.1e}; "
+                f"tau is too fast for the incoming flow"
+            )
+        table.append((jk, vk, t_out, terms, total))
+    return table
+
+
+def _proportional_point(table, spec: NetworkSpec) -> np.ndarray:
+    # x = min(tau_j^v / total, 1) on every feeder: inside the box always,
+    # and the one solution when each constraint has one feeder.
+    values = np.zeros((spec.n_nodes, spec.n_nodes, spec.slot_count, spec.slot_count))
+    for j, v, t_out, terms, total in table:
+        x = min(t_out / total, 1.0)
+        for i, u, _ in terms:
+            values[i, j, u, v] = x
+    return values
 
 
 def feeder_terms(
@@ -185,31 +212,20 @@ def solve_chain_closed_form(
     """Solve the coupling constraints when each has exactly one feeder term.
 
     The unique solution is x = tau_j^v / (tau_i^u * p_ij^u * (1 - tau_j^v));
-    with no active relay transmission it is the zero matrix. Raises when a
-    constraint has several feeders (no closed form), none at all, or
-    demands x > 1 beyond what the coupling gate forgives (tau_j^v - coeff
-    > tolerance); a smaller excess is clipped to x = 1.
+    with no active relay transmission it is the zero matrix. First, as in
+    the sampler, a constraint with no feeder, or one that demands x > 1
+    beyond what the coupling gate forgives (tau_j^v - coeff > tolerance), is
+    refused; a smaller excess is clipped to x = 1. Then a constraint with
+    several feeders raises :class:`ClosedFormNotApplicableError`.
     """
-    values = np.zeros((spec.n_nodes, spec.n_nodes, spec.slot_count, spec.slot_count))
-    for j, v, t_out, terms in _constraints(tau, P):
-        if not terms:
-            raise InfeasibleTauError(
-                f"relay {j + 1} transmits in slot {v + 1} but receives no flow"
-            )
+    table = _constraints(tau, P, tolerance)
+    for j, v, _, terms, _ in table:
         if len(terms) > 1:
             raise ClosedFormNotApplicableError(
                 f"(node {j + 1}, slot {v + 1}) has {len(terms)} feeder terms; the "
                 f"closed form needs exactly one"
             )
-        i, u, coeff = terms[0]
-        if t_out - coeff > tolerance:
-            raise InfeasibleRateError(
-                f"(node {j + 1}, slot {v + 1}) needs forwarding probability > 1: "
-                f"residual {t_out - coeff:.3e} at x = 1 exceeds {tolerance:.1e}; "
-                f"tau is too fast for the incoming flow"
-            )
-        values[i, j, u, v] = min(t_out / coeff, 1.0)
-    return ForwardingMatrix(values)
+    return ForwardingMatrix(_proportional_point(table, spec))
 
 
 def sample_feasible_forwarding(
@@ -220,60 +236,53 @@ def sample_feasible_forwarding(
     seed: int,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[ForwardingMatrix]:
-    """Draw ``count`` forwarding matrices satisfying every coupling constraint.
+    """Draw ``count`` forwarding matrices satisfying every coupling
+    constraint, or return the one that exists.
 
     Each constraint fixes a weighted sum of its x entries, so the feasible
     region is the product over constraints of simplex slices bounded by
-    x <= 1. Per constraint the slice is sampled by scaling flat Dirichlet
-    draws and rejecting points with an entry above 1: the
+    x <= 1. When no constraint has two feeders, or no relay transmits, it is
+    one point, the closed form's, returned alone without a generator. Else
+    per constraint the slice is sampled by scaling flat Dirichlet draws and
+    rejecting points with an entry above 1: the
     ``MAX_REJECTION_ATTEMPTS`` (200) draws are made in one batched call and
     the first accepted row is used, after which the generator is rewound so
     that it stands where drawing one point at a time up to that row would
-    leave it. When all 200 draws are rejected the proportional point
-    x_i = t / sum(coeffs) is used, which always lies inside; the draw is
-    then not uniform on that constraint, and every sample repeats that
-    point there. Deterministic per seed; sample k
+    leave it. When all 200 draws are rejected the constraint keeps the
+    proportional point x_i = min(t / sum(coeffs), 1), which always lies
+    inside; the draw is then not uniform on that constraint, and every
+    sample repeats that point there. Deterministic per seed; sample k
     depends only on (seed, k), so draws may be distributed across workers.
+    It refuses a tau as the closed form does.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    constraints = []
-    for j, v, t_out, terms in _constraints(tau, P):
-        total = sum(c for _, _, c in terms)
-        if not terms or total + tolerance < t_out:
-            raise InfeasibleTauError(
-                f"relay {j + 1} in slot {v + 1} needs inflow {t_out:.6g} but at "
-                f"most {total:.6g} is reachable even at full forwarding"
-            )
-        coeffs = np.array([c for _, _, c in terms])
-        constraints.append((j, v, t_out, terms, total, coeffs))
+    table = _constraints(tau, P, tolerance)
+    point = _proportional_point(table, spec)
+    if all(len(terms) == 1 for _, _, _, terms, _ in table):
+        return [ForwardingMatrix(point)]
+    coeffs = [np.array([c for _, _, c in terms]) for _, _, _, terms, _ in table]
 
     out = []
     for k in range(count):
         rng = spawned_rng(seed, k)
-        values = np.zeros(
-            (spec.n_nodes, spec.n_nodes, spec.slot_count, spec.slot_count)
-        )
-        for j, v, t_out, terms, total, coeffs in constraints:
+        values = point.copy()
+        for (j, v, t_out, terms, _), c in zip(table, coeffs):
             alpha = np.ones(len(terms))
             state = rng.bit_generator.state
-            candidates = (
-                t_out * rng.dirichlet(alpha, size=MAX_REJECTION_ATTEMPTS) / coeffs
-            )
+            candidates = t_out * rng.dirichlet(alpha, size=MAX_REJECTION_ATTEMPTS) / c
             accepted = np.flatnonzero(np.all(candidates <= 1.0, axis=1))
-            if accepted.size:
-                first = int(accepted[0])
-                xs = candidates[first]
-                # Rewind and redraw only the draws up to the accepted one, so
-                # the next constraint sees the generator where a draw-by-draw
-                # loop would have left it.
-                rng.bit_generator.state = state
-                rng.dirichlet(alpha, size=first + 1)
-            else:
-                # Tight constraint: fall back to the always-feasible
-                # proportional solution instead of rejecting forever.
-                xs = np.full(len(terms), t_out / total)
-            for (i, u, _), x in zip(terms, xs):
-                values[i, j, u, v] = min(float(x), 1.0)
+            if not accepted.size:
+                # Tight constraint: keep the always-feasible proportional
+                # point instead of rejecting forever.
+                continue
+            first = int(accepted[0])
+            # Rewind and redraw only the draws up to the accepted one, so
+            # the next constraint sees the generator where a draw-by-draw
+            # loop would have left it.
+            rng.bit_generator.state = state
+            rng.dirichlet(alpha, size=first + 1)
+            for (i, u, _), x in zip(terms, candidates[first]):
+                values[i, j, u, v] = x
         out.append(ForwardingMatrix(values))
     return out

@@ -1,12 +1,12 @@
 """Pareto dominance, front maintenance, and the discretized strategy search.
 
 The search space is the grid of relay rate matrices (at most ``n_max``
-relays active) crossed with forwarding matrices sampled from each rate
-matrix's feasible family. Candidates stream through feasibility gates,
-an exact prune, and the steady-state evaluation; survivors enter a
-non-dominated archive. Dominance is one predicate on sign-oriented
-objective rows, each maximized objective negated, which ``dominates``,
-the archive and its invariant check all share.
+relays active) crossed with the forwarding matrices that one sampler call
+builds from each rate matrix's feasible family. Candidates stream through
+feasibility gates, an exact prune, and the steady-state evaluation;
+survivors enter a non-dominated archive. Dominance is one predicate on
+sign-oriented objective rows, each maximized objective negated, which
+``dominates``, the archive and its invariant check all share.
 """
 
 from __future__ import annotations
@@ -16,17 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelMatrix, channel_matrix, spawned_seed
-from .errors import (
-    ClosedFormNotApplicableError,
-    InfeasibleError,
-    ParetoRelayError,
-    SchemaError,
-)
-from .forwarding import (
-    ForwardingMatrix,
-    sample_feasible_forwarding,
-    solve_chain_closed_form,
-)
+from .errors import InfeasibleError, ParetoRelayError, SchemaError
+from .forwarding import ForwardingMatrix, sample_feasible_forwarding
 from .rates import (
     DEFAULT_TOLERANCE,
     RateGrid,
@@ -37,6 +28,7 @@ from .steady_state import CriteriaVector, check_strategy, evaluate
 from .topology import NetworkSpec
 
 # Not called here; kept because bench/spans.py wraps them on this module.
+from .forwarding import solve_chain_closed_form
 from .rates import check_flow_conservation, check_half_duplex
 
 
@@ -254,22 +246,6 @@ class SearchResult:
     channel_slices: int = 0
 
 
-def _forwardings(
-    tau: RateMatrix, P: ChannelMatrix, spec: NetworkSpec, x_samples: int,
-    seed: int, tau_idx: int, tolerance: float,
-) -> list[ForwardingMatrix]:
-    """The forwarding matrices to evaluate for ``tau``: the closed form,
-    which is the zero matrix when no relay transmits, else ``x_samples``
-    draws of the sampler. Raises :class:`InfeasibleError` when tau admits
-    none."""
-    try:
-        return [solve_chain_closed_form(tau, P, spec, tolerance)]
-    except ClosedFormNotApplicableError:
-        return sample_feasible_forwarding(
-            tau, P, spec, x_samples, spawned_seed(seed, tau_idx), tolerance
-        )
-
-
 def exhaustive_search(
     spec: NetworkSpec,
     grid: RateGrid,
@@ -283,6 +259,10 @@ def exhaustive_search(
 ) -> SearchResult:
     """Stream every rate matrix on the grid through feasibility, pruning,
     forwarding generation, and evaluation; maintain the Pareto archive.
+
+    Each rate matrix that passes the gates and the prune gets one call of
+    ``sample_feasible_forwarding``: the closed form's one X when no
+    constraint leaves a choice, else ``x_samples_per_tau`` draws.
 
     Deterministic for a fixed seed: candidate tau_idx fixes the forwarding
     sampler's seed, evaluation is pure, and archive insertion happens in
@@ -309,8 +289,9 @@ def exhaustive_search(
             result.n_pruned += 1
             continue
         try:
-            forwardings = _forwardings(
-                tau, P, spec, x_samples_per_tau, seed, tau_idx, tolerance
+            forwardings = sample_feasible_forwarding(
+                tau, P, spec, x_samples_per_tau, spawned_seed(seed, tau_idx),
+                tolerance,
             )
         except InfeasibleError:
             result.n_infeasible += 1

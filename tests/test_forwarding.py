@@ -18,6 +18,7 @@ from pareto_relay.errors import (
     ModelViolationError,
     SchemaError,
 )
+from pareto_relay import forwarding
 from pareto_relay.forwarding import (
     MAX_REJECTION_ATTEMPTS,
     check_forwarder_roles,
@@ -139,7 +140,11 @@ def test_closed_form_takes_the_coupling_gates_tolerance():
         r"3\.000e-09 at x = 1 exceeds 1\.0e-09;",
     ):
         solve_chain_closed_form(tau, P, spec)
-    with pytest.raises(InfeasibleTauError, match=r"^relay 2 in slot 2 needs inflow"):
+    with pytest.raises(
+        InfeasibleRateError,
+        match=r"^\(node 2, slot 2\) needs forwarding probability > 1: residual "
+        r"3\.000e-09 at x = 1 exceeds 1\.0e-09;",
+    ):
         sample_feasible_forwarding(tau, P, spec, count=1, seed=0)
 
 
@@ -209,9 +214,66 @@ def test_sampler_detects_unreachable_rate():
     # even x = 1 everywhere cannot carry 0.9 through a 0.08 pipe
     spec, tau, P = chain_setup(tau_r=0.9, p_sr=0.8)
     with pytest.raises(
-        InfeasibleTauError, match=r"^relay 2 in slot 2 needs inflow 0\.9 but at most 0\.08 "
+        InfeasibleRateError,
+        match=r"^\(node 2, slot 2\) needs forwarding probability > 1: residual "
+        r"8\.200e-01 at x = 1 exceeds 1\.0e-09;",
     ):
         sample_feasible_forwarding(tau, P, spec, count=1, seed=0)
+
+
+def starved_setup():
+    """The relay transmits but no channel reaches it."""
+    spec, tau, _ = chain_setup()
+    return spec, tau, injected_channel(3, 2, {(2, 3, 2): 0.9})
+
+
+def idle_relay_setup():
+    spec, _, P = chain_setup()
+    return spec, rate_matrix(spec, [[0.0, 0.0]], [[1.0, 0.0]]), P
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [starved_setup, lambda: chain_setup(tau_r=1 / 3 + 2e-9, p_sr=0.5)],
+    ids=["starved", "residual-3e-9"],
+)
+def test_constructors_refuse_alike(setup):
+    """Both constructors read one constraint table, so a tau that admits no
+    forwarding matrix is refused with one class and one message."""
+    spec, tau, P = setup()
+    raised = []
+    for build in (
+        lambda: solve_chain_closed_form(tau, P, spec),
+        lambda: sample_feasible_forwarding(tau, P, spec, count=3, seed=0),
+    ):
+        with pytest.raises((InfeasibleTauError, InfeasibleRateError)) as info:
+            build()
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [
+        chain_setup,
+        idle_relay_setup,
+        lambda: chain_setup(tau_r=1 / 3 + 5e-10, p_sr=0.5),  # x clipped to 1
+    ],
+    ids=["chain", "idle-relay", "clipped"],
+)
+@pytest.mark.parametrize("count", [1, 3, 8])
+def test_sampler_without_choice_returns_the_closed_form(setup, count, monkeypatch):
+    """No constraint with two feeders: one matrix, the closed form's to the
+    bit, and no generator is built."""
+    spec, tau, P = setup()
+
+    def no_rng(*args):
+        raise AssertionError("spawned_rng called")
+
+    monkeypatch.setattr(forwarding, "spawned_rng", no_rng)
+    got = sample_feasible_forwarding(tau, P, spec, count=count, seed=0)
+    assert len(got) == 1
+    assert got[0].values.tobytes() == solve_chain_closed_form(tau, P, spec).values.tobytes()
 
 
 def tight_setup():
@@ -309,7 +371,8 @@ def test_batched_sampler_matches_draw_by_draw_loop(setup, draws):
             want, n = _sampler_reference(tau, P, spec, count, seed)
             used += n
             got = sample_feasible_forwarding(tau, P, spec, count=count, seed=seed)
-            assert len(got) == count
+            # One feeder leaves no choice: the sampler returns that one point.
+            assert len(got) == (1 if draws == "first" else count)
             for X, values in zip(got, want):
                 assert np.array_equal(X.values, values)
     # the setup exercises the path it is named for

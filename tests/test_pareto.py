@@ -1,4 +1,5 @@
 import hashlib
+import json
 import re
 
 import numpy as np
@@ -21,8 +22,10 @@ from pareto_relay import (
     evaluate,
     exhaustive_search,
     prune_tau,
+    serialize_network,
     solve_chain_closed_form,
 )
+from pareto_relay.cli import main
 from pareto_relay.errors import ParetoRelayError, SchemaError
 from pareto_relay.pareto import tau_energy_rate, tau_flow_rate
 
@@ -440,6 +443,50 @@ def fork_spec():
     )
 
 
+def test_search_makes_one_forwarding_call_per_gated_tau(monkeypatch):
+    """Each rate matrix that passes the gates gets one constraint table and
+    one sampler call; the closed form is never tried first."""
+    import pareto_relay.forwarding as forwarding
+    import pareto_relay.pareto as pareto
+
+    calls = {"gated": 0, "tables": 0, "sampler": 0}
+    gate, table, sampler = (
+        pareto.check_strategy, forwarding._constraints,
+        pareto.sample_feasible_forwarding,
+    )
+
+    def spy_gate(*args, **kwargs):
+        P = gate(*args, **kwargs)
+        calls["gated"] += 1
+        return P
+
+    def spy_table(*args):
+        calls["tables"] += 1
+        return table(*args)
+
+    def spy_sampler(*args):
+        calls["sampler"] += 1
+        return sampler(*args)
+
+    def no_closed_form(*args, **kwargs):
+        raise AssertionError("the search called the closed form")
+
+    monkeypatch.setattr(pareto, "check_strategy", spy_gate)
+    monkeypatch.setattr(forwarding, "_constraints", spy_table)
+    monkeypatch.setattr(pareto, "sample_feasible_forwarding", spy_sampler)
+    monkeypatch.setattr(pareto, "solve_chain_closed_form", no_closed_form)
+    monkeypatch.setattr(forwarding, "solve_chain_closed_form", no_closed_form)
+    result, evaluated = search_recording_candidates(
+        fork_spec(), RateGrid.parse("0,0.25"), n_max=2, x_samples_per_tau=2, seed=0
+    )
+    assert 0 < calls["gated"] < result.n_tau
+    assert calls["tables"] == calls["sampler"] == calls["gated"]
+    # Both kinds of tau reach the sampler: those with a choice get two
+    # draws, those without get their one point.
+    drawn = {s.solution_id[:6] for s in evaluated if s.solution_id.endswith("0001")}
+    assert drawn and drawn < {s.solution_id[:6] for s in evaluated}
+
+
 def test_evaluated_flow_and_energy_depend_on_tau_alone():
     """The prune drops a tau on ``tau_flow_rate`` and ``tau_energy_rate``
     before any X is drawn, which is exact only because every candidate's
@@ -510,3 +557,30 @@ def test_search_front_digest_is_pinned(
     )
     assert len(result.archive) == front_size
     assert front_digest(result) == digest
+
+
+def test_search_cli_files_are_pinned(tmp_path, capsys):
+    """The anchor search through ``cli.main``: sha256 over ``front.csv`` and
+    every ``tau_*``/``x_*`` file (name, then bytes, in name order), which
+    pins the written forwarding matrices that ``front_digest`` leaves out;
+    the manifest carries timings and versions and is excluded."""
+    topology = tmp_path / "topology.json"
+    topology.write_text(json.dumps(serialize_network(fork_spec())))
+    out_dir = tmp_path / "front"
+    argv = [
+        "search", "--topology", str(topology), "--grid", "0,0.25,0.5",
+        "--n-max", "2", "--seed", "0", "--output-dir", str(out_dir),
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "front size 162; 2107 rate matrices (1499 infeasible, 0 pruned), "
+        "2980 candidates evaluated\n"
+    )
+    digest = hashlib.sha256()
+    names = sorted(p.name for p in out_dir.iterdir() if p.name != "manifest.json")
+    assert names[0] == "front.csv" and len(names) == 1 + 2 * 162
+    for name in names:
+        digest.update(name.encode() + b"\0" + (out_dir / name).read_bytes())
+    assert digest.hexdigest() == (
+        "c37410376048dd45c3fa054cf9dc6e6ed48082180ac4f8f2ddbc99173d2408a9"
+    )
