@@ -39,8 +39,8 @@ from .rates import check_flow_conservation, check_half_duplex
 # independent generator derived from (seed, block index), so results are
 # identical whichever worker's stripe of blocks holds a block and which
 # blocks share its pool. It also sizes each worker thread's arrays
-# (``_Pool``): a pool of BLOCK_SIZE // 2 live trials, about
-# (2l + 9) * BLOCK_SIZE * 4 bytes for l transient states, plus one block's
+# (``_Pool``): a pool of BLOCK_SIZE // 2 live trials, (2l + 4) int64 rows
+# or (2l + 4) * BLOCK_SIZE * 4 bytes for l transient states, plus one block's
 # uniforms and injection buffer, about (l + 9) * BLOCK_SIZE bytes.
 BLOCK_SIZE = 65_536
 
@@ -229,6 +229,9 @@ def _scatter(rngs: list, starts: np.ndarray, n: np.ndarray, row, u: np.ndarray, 
     the segment's own generator of ``rngs``: the same values, leaving
     every generator in the same state, from one ``rng.random`` fill per p
     and segment of the caller's buffer ``u`` (at least as long as ``n``).
+    A draw with p = 1, where numpy reads one uniform per trial with n > 0
+    and returns n, adds n and advances each generator past those uniforms
+    instead.
 
     numpy flips p > 0.5 to p' = 1 - p and returns n - X. While
     n * p' <= 30 it draws X by inversion (Kachitvichyanukul & Schmeiser,
@@ -260,6 +263,11 @@ def _scatter(rngs: list, starts: np.ndarray, n: np.ndarray, row, u: np.ndarray, 
     log_rule = _LOG_Q.get(_log_q())
     for p, dst in zip(probs, [first] * n_first + [to[b] for b in rows]):
         if p == 0.0:  # nothing to draw
+            continue
+        if p == 1.0:  # a double is one output
+            for rng, s, e in segments:
+                rng.bit_generator.advance(e - s)
+            dst[at] += n
             continue
         flip = p > 0.5
         pp = 1.0 - p if flip else p
@@ -294,15 +302,16 @@ class _Pool:
 
     A block is injected at full width into ``injected`` (copies per
     transient state, then f), and its trials that hold a copy join as one
-    run of consecutive columns with the block's own generator. Each
-    column holds a trial's copy counts (``counts``) and its f, delay,
-    energy and weight = epoch - 1 (``acc``); runs join in order, so the
-    weight never rises along the columns. A trial that holds no copy
-    leaves, and its f, delay and energy go into the int64 ``moments``
-    (sum f, sum f^2, sum delay, sum delay^2, sum energy, sum energy^2),
-    whose sums do not depend on the order, wrap-around included. The
-    pool holds half a block and grows to a whole one, once, for a block
-    whose live trials do not fit it empty.
+    run of consecutive columns with the block's own generator (``rngs``),
+    its first column (``starts``) and the weight = epoch - 1 that its
+    trials share (``weights``); runs join in order, so the weights never
+    rise along the runs. Each column holds a trial's copy counts
+    (``counts``) and its f, delay and energy (``acc``). A trial that
+    holds no copy leaves, and its f, delay and energy go into the int64
+    ``moments`` (sum f, sum f^2, sum delay, sum delay^2, sum energy,
+    sum energy^2), whose sums do not depend on the order, wrap-around
+    included. The pool holds half a block and grows to a whole one, once,
+    for a block whose live trials do not fit it empty.
     """
 
     def __init__(self, injections, Q: np.ndarray, D: np.ndarray, width: int, max_epochs: int):
@@ -317,19 +326,20 @@ class _Pool:
         self.moments = np.zeros(6, dtype=np.int64)
         self.truncated = 0
         self.width = 0
-        self.rngs, self.starts = [], np.zeros(0, dtype=np.int64)
+        self.rngs = []
+        self.starts, self.weights = (np.zeros(0, dtype=np.int64) for _ in range(2))
         self._allocate(width // 2)
 
     def _allocate(self, capacity: int) -> None:
-        """Empty arrays for ``capacity`` trials, each array with a spare
-        that takes the columns kept when trials leave. They are allocated
+        """Empty arrays for ``capacity`` trials; the copy counts have a
+        spare, into which a step draws the next epoch's. They are allocated
         one by one: glibc keeps free up to twice the largest block it has
         unmapped, so one larger allocation raises the memory later calls
         hold."""
         self.capacity = capacity
         l = len(self.rows)
         self.counts, self.spare = (np.empty((l, capacity), dtype=np.int64) for _ in range(2))
-        self.acc, self.spare_acc = (np.empty((4, capacity), dtype=np.int64) for _ in range(2))
+        self.acc = np.empty((3, capacity), dtype=np.int64)
         self.delivered = np.empty(capacity, dtype=np.int64)
 
     def inject(self, rng, block_n: int) -> np.ndarray:
@@ -370,32 +380,32 @@ class _Pool:
             return
         for src, dst in zip(self.injected, [*self.counts, self.acc[0]]):
             dst[w : w + k] = src[live]
-        self.acc[1:3, w : w + k] = 0
-        self.acc[3, w : w + k] = 1
+        self.acc[1:, w : w + k] = 0
         f = self.acc[0, w : w + k]  # the joining trials settle when they leave
         self.moments[:2] -= f.sum(), f @ f
         self.rngs.append(rng)
         self.starts = np.append(self.starts, w)
+        self.weights = np.append(self.weights, 1)
         self.width += k
 
     def step(self) -> None:
-        """Advances every run by one epoch; the trials of runs past
-        ``max_epochs`` first leave as truncated.
+        """Advances every run by one epoch; the runs past ``max_epochs``,
+        the oldest ones, first leave as truncated.
 
         Each run draws what its block's epoch draws alone: for each
         transient state a in turn, binomials over its trials that hold a
         copy at a, for the positive entries of D[a] and then of Q[a].
         """
         w = self.width
-        weight = self.acc[3, :w]
-        if w and weight[0] >= self.max_epochs:
-            self._compact(weight < self.max_epochs)
+        old = np.count_nonzero(self.weights >= self.max_epochs)
+        if old:
+            self._compact(np.arange(w) >= np.append(self.starts, w)[old])
             self.truncated += w - self.width
             w = self.width
         if not w:
             return
         counts, new = self.counts[:, :w], self.spare[:, :w]
-        f, delay, energy, weight = self.acc[:, :w]
+        f, delay, energy = self.acc[:, :w]
         delivered = self.delivered[:w]
         energy += np.sum(counts, axis=0, out=delivered)
         delivered.fill(0)
@@ -403,9 +413,10 @@ class _Pool:
         for n, row in zip(counts, self.rows):
             _scatter(self.rngs, self.starts, n, row, self.u, delivered, new)
         f += delivered
-        delivered *= weight
-        delay += delivered
-        weight += 1
+        cuts = [*self.starts.tolist(), w]
+        for s, e, weight in zip(cuts, cuts[1:], self.weights.tolist()):
+            delay[s:e] += np.multiply(delivered[s:e], weight, out=delivered[s:e])
+        self.weights += 1
         self.counts, self.spare = self.spare, self.counts
         keep = new.any(axis=0)
         if not keep.all():
@@ -413,24 +424,30 @@ class _Pool:
 
     def _compact(self, keep: np.ndarray) -> None:
         """Settles the trials outside ``keep`` and moves the others to the
-        front of the spare arrays, which become the pool's."""
+        front: the copy counts into the spare, which becomes the pool's,
+        and the rows of ``acc`` in place, one row-sized temporary at a
+        time. The moments take the sums and sums of squares over every
+        column, then give back the kept columns' ones: int64 sums wrap
+        alike, so that equals the leaving trials' sums to the bit."""
         w = self.width
         kept = np.flatnonzero(keep)
-        gone = np.flatnonzero(~keep)
-        k, m = kept.size, gone.size
-        # "raise" would buffer out
-        left = np.take(self.acc[:3, :w], gone, axis=1, mode="clip",
-                       out=self.spare_acc.reshape(-1)[: 3 * m].reshape(3, m))
-        self.moments[0::2] += left.sum(axis=1)
-        self.moments[1::2] += np.einsum("ij,ij->i", left, left)
-        for src, dst in zip([*self.counts, *self.acc], [*self.spare, *self.spare_acc]):
-            np.take(src[:w], kept, out=dst[:k], mode="clip")
+        k = kept.size
+        acc = self.acc[:, :w]
+        self.moments[0::2] += acc.sum(axis=1)
+        self.moments[1::2] += np.einsum("ij,ij->i", acc, acc)
+        for src, dst in zip(self.counts, self.spare):
+            np.take(src[:w], kept, out=dst[:k], mode="clip")  # "raise" would buffer out
         self.counts, self.spare = self.spare, self.counts
-        self.acc, self.spare_acc = self.spare_acc, self.acc
+        for row in self.acc:
+            row[:k] = row[kept]
+        acc = self.acc[:, :k]
+        self.moments[0::2] -= acc.sum(axis=1)
+        self.moments[1::2] -= np.einsum("ij,ij->i", acc, acc)
         starts = np.searchsorted(kept, self.starts)
         held = starts < np.append(starts[1:], k)
         self.rngs = list(itertools.compress(self.rngs, held.tolist()))
         self.starts = starts[held]
+        self.weights = self.weights[held]
         self.width = k
 
 

@@ -467,6 +467,55 @@ def test_reused_block_arrays_carry_nothing_over(monkeypatch, case, threads):
     assert sorted(capacities) == [500] * pools + [1000] * (pools if grown else 0)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_truncation_drops_the_oldest_runs_only(monkeypatch, threads):
+    """The two-relay chain with a source that sends in one frame of five:
+    about 16% of a 1000-trial block joins, so several blocks' runs share a
+    pool. At max_epochs = 2 a step truncates the runs that have already
+    stepped once, oldest first, while a run that joined after them steps
+    on; some step drops two or more runs and keeps a younger one. Moments
+    and truncated count are the per-block sums of the reference loop."""
+    spec, _, P, _, _ = two_relay_fixture()
+    tau = rate_matrix(spec, [[0.0, 0.1, 0.0], [0.0, 0.0, 0.05]], [[0.2, 0.0, 0.0]])
+    X = solve_chain_closed_form(tau, P, spec)
+    injections = _injections(tau, X, P, spec)
+    Q = build_relaying_matrix(X, tau, P)
+    D = build_arrival_matrix(tau, P, spec)
+    n, seed, max_epochs = 20_500, 5, 2
+    want = np.zeros(6, dtype=np.int64)
+    want_truncated = 0
+    for b in range(-(-n // 1000)):
+        m, t = _simulate_block_reference(
+            b, min(1000, n - 1000 * b), seed, injections, Q, D, max_epochs
+        )
+        want += m
+        want_truncated += t
+
+    monkeypatch.setattr(mc_oracle, "BLOCK_SIZE", 1000)
+    moments = []
+    estimate = mc_oracle._estimate
+    monkeypatch.setattr(
+        mc_oracle, "_estimate", lambda *a: moments.extend(a[:2]) or estimate(*a)
+    )
+    drops = []  # (runs dropped, runs kept) of each truncating step
+    step = mc_oracle._Pool.step
+
+    def spy(pool):
+        runs, truncated = list(pool.rngs), pool.truncated
+        step(pool)
+        if pool.truncated > truncated:
+            kept = [any(rng is r for r in pool.rngs) for rng in runs]
+            drops.append((kept.index(True) if any(kept) else len(kept), sum(kept)))
+
+    monkeypatch.setattr(mc_oracle._Pool, "step", spy)
+    config = SimConfig(n_packets=n, seed=seed, max_epochs=max_epochs, threads=threads)
+    got = simulate(tau, X, spec, config, channel=P)
+    assert moments == want.tolist()
+    assert got.truncated == want_truncated > 0
+    assert type(got.truncated) is int  # it goes into the JSON output
+    assert any(dropped >= 2 and kept for dropped, kept in drops), drops
+
+
 def test_workers_match_the_blocks(monkeypatch):
     """A call starts no more worker threads than it has blocks: 64 threads
     on a 3-block call start 3 workers, whose stripes hold one block each,
@@ -585,6 +634,53 @@ def test_block_arrays_are_not_faulted_in_per_block():
     (two, two_pools), (sixteen, sixteen_pools) = json.loads(proc.stdout)
     assert sixteen <= two + 14 * 64, (two, sixteen)
     assert 1 <= two_pools <= 2 and 1 <= sixteen_pools <= 2, (two_pools, sixteen_pools)
+
+
+# Prints the tracemalloc peak of a 10^6-packet simulate call at threads 1
+# on the benchmark's 3-relay oracle fixture, and its count l of transient
+# states.
+PEAK_CHILD = """
+import importlib.util, json, sys, tracemalloc
+import pareto_relay
+from pareto_relay import ForwardingMatrix, RateMatrix, SimConfig, channel_matrix, simulate
+from pareto_relay.steady_state import build_relaying_matrix
+spec = importlib.util.spec_from_file_location("bench_workloads", sys.argv[1])
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+names = [name for name, *_ in workloads.ORACLE_FIXTURES]
+topology, (tau_doc, x_doc) = workloads.fixture_strategy(pareto_relay, names.index(sys.argv[2]))
+net = pareto_relay.load_network(topology)
+tau = RateMatrix.from_json(net, json.dumps(tau_doc))
+X = ForwardingMatrix.from_json(json.dumps(x_doc), net.n_nodes, net.slot_count)
+P = channel_matrix(tau, net)
+tracemalloc.start()
+simulate(tau, X, net, SimConfig(n_packets=10**6, seed=0), channel=P)
+print(json.dumps([tracemalloc.get_traced_memory()[1], len(build_relaying_matrix(X, tau, P))]))
+"""
+
+
+def test_worker_memory_stays_within_the_readme_formula():
+    """README bounds a worker thread's arrays by (2l + 4) int64 rows of
+    half a block, for the pool of live trials, plus l + 9 bytes per trial
+    of a block, for the injection buffer and the uniforms. A 1-thread call
+    on the 3-relay benchmark fixture (l = 3) peaks within 1 MiB of that,
+    which leaves room for one row-sized temporary at a time and the other
+    small arrays of a step. The call runs in a fresh interpreter so that
+    tracemalloc sees only its allocations."""
+    tests = Path(__file__).resolve().parent
+    src = Path(mc_oracle.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_CHILD, str(tests.parent / "bench" / "workloads.py"),
+         "3-relay shared slot"],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak, l = json.loads(proc.stdout)
+    block = mc_oracle.BLOCK_SIZE
+    formula = (2 * l + 4) * (block // 2) * 8 + (l + 9) * block
+    assert l == 3
+    assert peak < formula + 2**20, (peak / 2**20, formula / 2**20)
 
 
 def _first_uniform(u: float) -> np.random.Generator:
@@ -780,3 +876,48 @@ def test_segmented_rows_decide_per_segment(monkeypatch):
             assert all(rng is ours[1] for rng in walked)
             n_walks += len(walked)
     assert n_walks
+
+
+class _CountingGenerator:
+    """A generator proxy that counts the ``random`` and ``binomial`` calls
+    made on it and passes every attribute through."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.random(*args, **kwargs)
+
+    def binomial(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.binomial(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("cuts", [[0, 5], [0, 4, 9]])
+def test_sure_draws_advance_past_their_uniforms(cuts):
+    """numpy's binomial with p = 1 reads one uniform per trial with n > 0
+    and returns n. ``_scatter`` adds n for such a p, to ``first`` and to
+    each row of ``to``, and advances each segment's generator to where
+    ``Generator.binomial(n[s:e], 1.0)`` leaves it without calling
+    ``random`` or ``binomial``. numpy never takes BTPE at p = 1, where
+    n * (1 - p) = 0, so one trial holds n = 100."""
+    n = np.array([2, 0, 1, 100, 3, 0, 0, 1, 4, 1, 0, 2], dtype=np.int64)
+    seeds = np.random.SeedSequence(11).spawn(len(cuts))
+    ours = [_CountingGenerator(np.random.default_rng(s)) for s in seeds]
+    theirs = [np.random.default_rng(s) for s in seeds]
+    first = np.full(n.size, 7, dtype=np.int64)
+    to = np.full((2, n.size), 7, dtype=np.int64)
+    u = np.full(n.size, 2.0)
+    _scatter(ours, np.array(cuts), n, ([1.0, 1.0, 1.0], 1, np.array([1, 0])), u, first, to)
+    assert np.array_equal(first, 7 + n) and np.array_equal(to, 7 + np.stack([n, n]))
+    bounds = [*cuts, n.size]
+    for mine, numpy_rng, s, e in zip(ours, theirs, bounds, bounds[1:]):
+        for _ in range(3):
+            assert np.array_equal(numpy_rng.binomial(n[s:e], 1.0), n[s:e])
+        assert mine.calls == 0
+        assert mine.bit_generator.state == numpy_rng.bit_generator.state
